@@ -184,7 +184,10 @@ def _cmd_demo(args) -> int:
         sig, graph = parse_graph_file(_read(args.graph))
         report = demo_fact_min(graph, parse(args.by, sig), sig)
     else:
-        sig = Signature(tuple(args.atoms.replace(",", " ").split()))
+        try:
+            sig = Signature(args.atoms.replace(",", " ").split())
+        except ValueError as exc:
+            raise BeliefRevError(f"--atoms: {exc}") from exc
         pool = tuple(parse(t.strip(), sig) for t in args.pool.split(","))
         report = sweep_harmony(args.bound, sig, pool)
     if args.json:

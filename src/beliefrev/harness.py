@@ -288,6 +288,8 @@ def sweep_harmony(
     with at most ``bound`` nodes and every pool formula, the canonical
     model of the prefixed graph equals the lexicographic revision of the
     original canonical model."""
+    if bound < 0:
+        raise ResourceBoundError(f"node bound {bound} is negative")
     if bound > 3:
         raise ResourceBoundError(f"node bound {bound} exceeds the sweep limit of 3")
     if len(sig) > 4:

@@ -32,6 +32,7 @@ from .formula import Formula, Or, Signature, eval_formula
 from .semantics import (
     PreferenceModel,
     World,
+    _preorder_edges,
     transitive_closure,
     worlds_for_signature,
 )
@@ -248,19 +249,9 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
 def strict_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     """All strict partial orders on ``n`` labelled elements, as edge sets of
     index pairs. 1 for n<=1, 3 for n=2, 19 for n=3."""
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for picks in itertools.product((False, True), repeat=len(cells)):
-        chosen = frozenset(c for c, on in zip(cells, picks) if on)
-        ok = True
-        for a, b in chosen:
-            for c, d in chosen:
-                if b == c and (a == d or (a, d) not in chosen):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield chosen
+    for edges in _preorder_edges(n):
+        if not any((b, a) in edges for a, b in edges):
+            yield edges
 
 
 def enumerate_pgraphs(

@@ -1,12 +1,14 @@
 """Iterated-revision postulate checkers.
 
 Two families live here. The semantic checkers take a model, the revision
-formula, and the revised model, and sweep world pairs against the postulate
-definitions (DP-1 to DP-4, recalcitrance, independence, faithfulness, and
-conditional-belief conservation). The syntactic checkers take a priority
-graph, the formula, and a transformed graph, and decide the finite
-quantifications over node labels that are sufficient for the corresponding
-postulate when they hold of a transformation on every input.
+formula, and the revised model, and test the postulate definitions (DP-1 to
+DP-4, recalcitrance, independence, faithfulness, and conditional-belief
+conservation); each pair postulate is one boolean mask over world pairs.
+The syntactic checkers take a priority graph, the formula, and a transformed
+graph, and decide the finite quantifications over node labels that are
+sufficient for the corresponding postulate when they hold of a
+transformation on every input; all but recalcitrance are one counterpart
+search between the two graphs.
 
 Every failing report carries witnesses that re-verify against the raw
 definition. The syntactic conditions are sufficient only; their converses
@@ -18,20 +20,14 @@ idempotent, and all equivalences are signature-relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 from .errors import WorldSetMismatchError
-from .formula import (
-    BOT,
-    TOP,
-    And,
-    Formula,
-    Not,
-    Signature,
-    entails,
-    equivalent,
-)
+from .formula import BOT, TOP, And, Formula, Not, Signature, entails, equivalent
 from .pgraph import PGraph
-from .semantics import PreferenceModel, min_worlds
+from .semantics import PreferenceModel
 
 
 @dataclass(frozen=True)
@@ -77,140 +73,111 @@ def _shared_ids(before: PreferenceModel, after: PreferenceModel) -> list[str]:
     return sorted(before.ids)
 
 
-def _satisfied(model: PreferenceModel, formula: Formula) -> set[str]:
-    return {w.id for w in model.satisfying(formula)}
-
-
 # --- semantic checkers -------------------------------------------------------
+#
+# Every checker reads three arrays indexed in sorted world-id order: ``s``
+# marks the worlds satisfying the revision formula, ``b`` and ``a`` are the
+# relations before and after. A pair postulate is a mask over (w, w') whose
+# set cells, in row-major order, are its witnesses.
+
+
+def _strict(m: np.ndarray) -> np.ndarray:
+    return m & ~m.T
+
+
+def _minimal(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The worlds of ``s`` that no world of ``s`` is strictly below in ``m``."""
+    return s & ~(s[:, None] & _strict(m)).any(axis=0)
+
+
+_MASKS = {
+    "dp1": lambda s, b, a: s[:, None] & s & (b != a),
+    "dp2": lambda s, b, a: ~s[:, None] & ~s & (b != a),
+    "dp3": lambda s, b, a: s[:, None] & ~s & _strict(b) & ~_strict(a),
+    "dp4": lambda s, b, a: s[:, None] & ~s & b & ~a,
+    "rec": lambda s, b, a: s[:, None] & ~s & ~_strict(a),
+    "ind": lambda s, b, a: s[:, None] & ~s & b & ~_strict(a),
+    "cb": lambda s, b, a: ~_minimal(s, b)[:, None] & ~_minimal(s, b) & (b != a),
+}
+
+
+def _aligned(before: PreferenceModel, by: Formula, after: PreferenceModel):
+    """Sorted shared world ids, the satisfaction vector, and the relations
+    before and after, all in that order."""
+    ids = _shared_ids(before, after)
+    sat = {w.id for w in before.satisfying(by)}
+
+    def relation(model: PreferenceModel) -> np.ndarray:
+        rows = np.array([model.index(i) for i in ids])
+        return model.matrix[rows[:, None], rows]
+
+    return ids, np.array([i in sat for i in ids], dtype=bool), relation(before), relation(after)
+
+
+def _pair_check(
+    name: str, before: PreferenceModel, by: Formula, after: PreferenceModel
+) -> PostulateReport:
+    ids, s, b, a = _aligned(before, by, after)
+    bad = tuple((ids[i], ids[j]) for i, j in np.argwhere(_MASKS[name](s, b, a)))
+    return PostulateReport(name, not bad, bad)
 
 
 def check_dp1(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Inside the revision formula the order is untouched: for satisfying
     w, w' the revised order agrees with the original, both ways."""
-    ids = _shared_ids(before, after)
-    sat = _satisfied(before, by)
-    bad = tuple(
-        (a, b)
-        for a in ids
-        for b in ids
-        if a in sat and b in sat and before.leq(a, b) != after.leq(a, b)
-    )
-    return PostulateReport("dp1", not bad, bad)
+    return _pair_check("dp1", before, by, after)
 
 
 def check_dp2(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Outside the revision formula the order is untouched."""
-    ids = _shared_ids(before, after)
-    sat = _satisfied(before, by)
-    bad = tuple(
-        (a, b)
-        for a in ids
-        for b in ids
-        if a not in sat and b not in sat and before.leq(a, b) != after.leq(a, b)
-    )
-    return PostulateReport("dp2", not bad, bad)
+    return _pair_check("dp2", before, by, after)
 
 
 def check_dp3(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """A satisfying world strictly preferred to a non-satisfying one stays
     strictly preferred."""
-    ids = _shared_ids(before, after)
-    sat = _satisfied(before, by)
-    bad = tuple(
-        (a, b)
-        for a in ids
-        for b in ids
-        if a in sat
-        and b not in sat
-        and before.strictly_below(a, b)
-        and not after.strictly_below(a, b)
-    )
-    return PostulateReport("dp3", not bad, bad)
+    return _pair_check("dp3", before, by, after)
 
 
 def check_dp4(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """A satisfying world weakly preferred to a non-satisfying one stays
     weakly preferred."""
-    ids = _shared_ids(before, after)
-    sat = _satisfied(before, by)
-    bad = tuple(
-        (a, b)
-        for a in ids
-        for b in ids
-        if a in sat and b not in sat and before.leq(a, b) and not after.leq(a, b)
-    )
-    return PostulateReport("dp4", not bad, bad)
+    return _pair_check("dp4", before, by, after)
 
 
 def check_rec(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Recalcitrance: after revising, every satisfying world is strictly
     preferred to every non-satisfying world."""
-    ids = _shared_ids(before, after)
-    sat = _satisfied(before, by)
-    bad = tuple(
-        (a, b)
-        for a in ids
-        for b in ids
-        if a in sat and b not in sat and not after.strictly_below(a, b)
-    )
-    return PostulateReport("rec", not bad, bad)
+    return _pair_check("rec", before, by, after)
 
 
 def check_ind(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Independence: weak preference of a satisfying world over a
     non-satisfying one becomes strict."""
-    ids = _shared_ids(before, after)
-    sat = _satisfied(before, by)
-    bad = tuple(
-        (a, b)
-        for a in ids
-        for b in ids
-        if a in sat
-        and b not in sat
-        and before.leq(a, b)
-        and not after.strictly_below(a, b)
-    )
-    return PostulateReport("ind", not bad, bad)
+    return _pair_check("ind", before, by, after)
 
 
 def check_faith(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Faithfulness: when the formula is satisfiable in the model, its most
     preferred worlds before revision are exactly the globally most
     preferred worlds afterwards."""
-    _shared_ids(before, after)
-    if not _satisfied(before, by):
+    ids, s, b, a = _aligned(before, by, after)
+    if not s.any():
         return PostulateReport("faith", True)
-    expected = {w.id for w in min_worlds(before, by)}
-    actual = {w.id for w in min_worlds(after, TOP)}
-    bad = tuple((i,) for i in sorted(expected ^ actual))
+    differ = _minimal(s, b) != _minimal(np.ones_like(s), a)
+    bad = tuple((ids[i],) for i in np.flatnonzero(differ))
     return PostulateReport("faith", not bad, bad)
 
 
 def check_cb(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Conditional-belief conservation: among worlds outside the most
     preferred satisfying set, the order is untouched, both ways."""
-    ids = _shared_ids(before, after)
-    minimal = {w.id for w in min_worlds(before, by)}
-    bad = tuple(
-        (a, b)
-        for a in ids
-        for b in ids
-        if a not in minimal
-        and b not in minimal
-        and before.leq(a, b) != after.leq(a, b)
-    )
-    return PostulateReport("cb", not bad, bad)
+    return _pair_check("cb", before, by, after)
 
 
 SEMANTIC_CHECKS = {
-    "dp1": check_dp1,
-    "dp2": check_dp2,
-    "dp3": check_dp3,
-    "dp4": check_dp4,
-    "rec": check_rec,
-    "ind": check_ind,
-    "faith": check_faith,
-    "cb": check_cb,
+    "dp1": check_dp1, "dp2": check_dp2, "dp3": check_dp3, "dp4": check_dp4,
+    "rec": check_rec, "ind": check_ind, "faith": check_faith, "cb": check_cb,
 }
 
 
@@ -218,11 +185,79 @@ SEMANTIC_CHECKS = {
 #
 # Below, "before" nodes/edges are those of the original graph and "after"
 # nodes/edges those of the transformed graph; prec edges are compared after
-# transitive closure. Helper naming follows the quantifier roles.
+# transitive closure.
 
 
 def _nodes(graph: PGraph) -> list[tuple[str, Formula]]:
     return [(n, graph.label(n)) for n in graph.node_ids]
+
+
+def _modulo(context: Formula, sig: Signature):
+    """Label relation: equivalence after conjunction with ``context``."""
+    return lambda f, g: equivalent(And(context, f), And(context, g), sig)
+
+
+def _agree_inside(by: Formula, sig: Signature):
+    """Label relation: an original label f and a transformed label g agree
+    inside the revision formula, as a pair of one-way entailments."""
+    neg = Not(by)
+    return lambda f, g: entails(And(by, f), g, sig) and entails(And(neg, g), f, sig)
+
+
+class _Counterparts:
+    """The counterpart search of the DP-1 to DP-4 and independence conditions
+    on one (before, by, after) triple. ``relation(f, g)`` relates an original
+    label f to a transformed label g; it and equivalence to the revision
+    formula are asked lazily and memoised, as the quantifiers repeat them."""
+
+    def __init__(self, before: PGraph, by: Formula, after: PGraph, sig: Signature, relation):
+        before.validate()
+        after.validate()
+        self.by, self.sig, self.graphs = by, sig, (before, after)
+        self.preds = [
+            {n: [g.label(m) for m in g.node_ids if (m, n) in g.prec()] for n in g.node_ids}
+            for g in self.graphs
+        ]
+        self.related = cache(relation)
+        self.is_by = cache(lambda f: equivalent(f, by, sig))
+
+    def unmatched(self, clause: str, outer_after: bool, match_after: bool,
+                  excuse: bool = False, anchored: bool = False) -> list[tuple[str, str, str]]:
+        """Witnesses for the outer graph's nodes that have no counterpart.
+
+        A counterpart is a related node of the other graph. Of the pair, the
+        transformed node (``match_after``) or else the original one has each
+        strict predecessor related to some strict predecessor of the other,
+        unless ``excuse`` is set and that predecessor is equivalent to the
+        revision formula. Transformed outer nodes equivalent to the revision
+        formula are skipped; ``anchored`` further requires transformed outer
+        nodes to entail it or to have a strict predecessor equivalent to it.
+        """
+        (before, after), (preds_b, preds_a) = self.graphs, self.preds
+        outer, inner = self.graphs[outer_after], self.graphs[not outer_after]
+
+        def counterparts(n_b: str, n_a: str) -> bool:
+            if not self.related(before.label(n_b), after.label(n_a)):
+                return False
+            if match_after:
+                return all(
+                    (excuse and self.is_by(p)) or any(self.related(q, p) for q in preds_b[n_b])
+                    for p in preds_a[n_a]
+                )
+            return all(any(self.related(p, q) for q in preds_a[n_a]) for p in preds_b[n_b])
+
+        bad = []
+        for n_x in outer.node_ids:
+            x = outer.label(n_x)
+            if outer_after and self.is_by(x):
+                continue
+            anchor_ok = not anchored or entails(x, self.by, self.sig) or any(
+                map(self.is_by, preds_a[n_x])
+            )
+            pairs = [(n_c, n_x) if outer_after else (n_x, n_c) for n_c in inner.node_ids]
+            if not (anchor_ok and any(counterparts(*pair) for pair in pairs)):
+                bad.append((clause, n_x, str(x)))
+        return bad
 
 
 def cond_dp1(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> ConditionReport:
@@ -235,62 +270,9 @@ def cond_dp1(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     symmetrically for every transformed node not equivalent to the revision
     formula.
     """
-    before.validate()
-    after.validate()
-    prec_before = before.prec()
-    prec_after = after.prec()
-    eq = lambda f, g: equivalent(And(by, f), And(by, g), sig)
-    bad: list[tuple[str, str, str]] = []
-
-    for n_xi, xi in _nodes(before):
-        def direction_one(n_xi=n_xi, xi=xi) -> bool:
-            for n_xi2, xi2 in _nodes(after):
-                if not eq(xi, xi2):
-                    continue
-                ok = True
-                for n_psi2, psi2 in _nodes(after):
-                    if (n_psi2, n_xi2) not in prec_after:
-                        continue
-                    if equivalent(psi2, by, sig):
-                        continue
-                    if not any(
-                        eq(psi, psi2) and (n_psi, n_xi) in prec_before
-                        for n_psi, psi in _nodes(before)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
-        if not direction_one():
-            bad.append(("1", n_xi, str(xi)))
-
-    for n_xi, xi in _nodes(after):
-        if equivalent(xi, by, sig):
-            continue
-
-        def direction_two(n_xi=n_xi, xi=xi) -> bool:
-            for n_xi2, xi2 in _nodes(before):
-                if not eq(xi, xi2):
-                    continue
-                ok = True
-                for n_psi2, psi2 in _nodes(before):
-                    if (n_psi2, n_xi2) not in prec_before:
-                        continue
-                    if not any(
-                        eq(psi, psi2) and (n_psi, n_xi) in prec_after
-                        for n_psi, psi in _nodes(after)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
-        if not direction_two():
-            bad.append(("2", n_xi, str(xi)))
-
+    search = _Counterparts(before, by, after, sig, _modulo(by, sig))
+    bad = search.unmatched("1", outer_after=False, match_after=True, excuse=True)
+    bad += search.unmatched("2", outer_after=True, match_after=False)
     return ConditionReport("dp1", not bad, tuple(bad))
 
 
@@ -299,63 +281,9 @@ def cond_dp2(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     negated revision formula, predecessors matched in the forward direction
     for original nodes and excused by the revision formula for transformed
     nodes."""
-    before.validate()
-    after.validate()
-    neg = Not(by)
-    prec_before = before.prec()
-    prec_after = after.prec()
-    eq = lambda f, g: equivalent(And(neg, f), And(neg, g), sig)
-    bad: list[tuple[str, str, str]] = []
-
-    for n_xi, xi in _nodes(before):
-        def direction_one(n_xi=n_xi, xi=xi) -> bool:
-            for n_xi2, xi2 in _nodes(after):
-                if not eq(xi, xi2):
-                    continue
-                ok = True
-                for n_psi, psi in _nodes(before):
-                    if (n_psi, n_xi) not in prec_before:
-                        continue
-                    if not any(
-                        eq(psi, psi2) and (n_psi2, n_xi2) in prec_after
-                        for n_psi2, psi2 in _nodes(after)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
-        if not direction_one():
-            bad.append(("1", n_xi, str(xi)))
-
-    for n_xi, xi in _nodes(after):
-        if equivalent(xi, by, sig):
-            continue
-
-        def direction_two(n_xi=n_xi, xi=xi) -> bool:
-            for n_xi2, xi2 in _nodes(before):
-                if not eq(xi, xi2):
-                    continue
-                ok = True
-                for n_psi, psi in _nodes(after):
-                    if (n_psi, n_xi) not in prec_after:
-                        continue
-                    if equivalent(psi, by, sig):
-                        continue
-                    if not any(
-                        eq(psi, psi2) and (n_psi2, n_xi2) in prec_before
-                        for n_psi2, psi2 in _nodes(before)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
-        if not direction_two():
-            bad.append(("2", n_xi, str(xi)))
-
+    search = _Counterparts(before, by, after, sig, _modulo(Not(by), sig))
+    bad = search.unmatched("1", outer_after=False, match_after=False)
+    bad += search.unmatched("2", outer_after=True, match_after=True, excuse=True)
     return ConditionReport("dp2", not bad, tuple(bad))
 
 
@@ -364,41 +292,8 @@ def cond_dp3(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     counterpart agreeing with it inside the revision formula (one-way
     entailments) whose new strict predecessors are the revision formula or
     counterparts of old strict predecessors."""
-    before.validate()
-    after.validate()
-    neg = Not(by)
-    prec_before = before.prec()
-    prec_after = after.prec()
-    bad: list[tuple[str, str, str]] = []
-
-    for n_xi, xi in _nodes(before):
-        def holds_for(n_xi=n_xi, xi=xi) -> bool:
-            for n_xi2, xi2 in _nodes(after):
-                if not entails(And(by, xi), xi2, sig):
-                    continue
-                if not entails(And(neg, xi2), xi, sig):
-                    continue
-                ok = True
-                for n_psi2, psi2 in _nodes(after):
-                    if (n_psi2, n_xi2) not in prec_after:
-                        continue
-                    if equivalent(psi2, by, sig):
-                        continue
-                    if not any(
-                        entails(And(by, psi), psi2, sig)
-                        and entails(And(neg, psi2), psi, sig)
-                        and (n_psi, n_xi) in prec_before
-                        for n_psi, psi in _nodes(before)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
-        if not holds_for():
-            bad.append(("1", n_xi, str(xi)))
-
+    search = _Counterparts(before, by, after, sig, _agree_inside(by, sig))
+    bad = search.unmatched("1", outer_after=False, match_after=True, excuse=True)
     return ConditionReport("dp3", not bad, tuple(bad))
 
 
@@ -407,42 +302,8 @@ def cond_dp4(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     to the revision formula or corresponds to an original node, with old
     strict predecessors matched by new strict predecessors of the
     transformed node."""
-    before.validate()
-    after.validate()
-    neg = Not(by)
-    prec_before = before.prec()
-    prec_after = after.prec()
-    bad: list[tuple[str, str, str]] = []
-
-    for n_xi, xi in _nodes(after):
-        if equivalent(xi, by, sig):
-            continue
-
-        def holds_for(n_xi=n_xi, xi=xi) -> bool:
-            for n_xi2, xi2 in _nodes(before):
-                if not entails(And(by, xi2), xi, sig):
-                    continue
-                if not entails(And(neg, xi), xi2, sig):
-                    continue
-                ok = True
-                for n_psi2, psi2 in _nodes(before):
-                    if (n_psi2, n_xi2) not in prec_before:
-                        continue
-                    if not any(
-                        entails(And(by, psi2), psi, sig)
-                        and entails(And(neg, psi), psi2, sig)
-                        and (n_psi, n_xi) in prec_after
-                        for n_psi, psi in _nodes(after)
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    return True
-            return False
-
-        if not holds_for():
-            bad.append(("1", n_xi, str(xi)))
-
+    search = _Counterparts(before, by, after, sig, _agree_inside(by, sig))
+    bad = search.unmatched("1", outer_after=True, match_after=False)
     return ConditionReport("dp4", not bad, tuple(bad))
 
 
@@ -484,56 +345,12 @@ def cond_ind(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     """Sufficient condition for independence: the DP-4 style correspondence
     plus, for transformed nodes not entailing the revision formula, a
     strict predecessor equivalent to it."""
-    before.validate()
-    after.validate()
-    neg = Not(by)
-    prec_before = before.prec()
-    prec_after = after.prec()
-    bad: list[tuple[str, str, str]] = []
-
-    for n_xi2, xi2 in _nodes(after):
-        if equivalent(xi2, by, sig):
-            continue
-
-        def holds_for(n_xi2=n_xi2, xi2=xi2) -> bool:
-            for n_xi, xi in _nodes(before):
-                if not entails(And(by, xi), xi2, sig):
-                    continue
-                if not entails(And(neg, xi2), xi, sig):
-                    continue
-                ok = True
-                for n_psi2, psi2 in _nodes(after):
-                    if (n_psi2, n_xi2) not in prec_after:
-                        continue
-                    if not any(
-                        entails(And(by, psi), psi2, sig)
-                        and entails(And(neg, psi2), psi, sig)
-                        and (n_psi, n_xi) in prec_before
-                        for n_psi, psi in _nodes(before)
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if not entails(xi2, by, sig) and not any(
-                    (n_psi2, n_xi2) in prec_after and equivalent(psi2, by, sig)
-                    for n_psi2, psi2 in _nodes(after)
-                ):
-                    continue
-                return True
-            return False
-
-        if not holds_for():
-            bad.append(("1", n_xi2, str(xi2)))
-
+    search = _Counterparts(before, by, after, sig, _agree_inside(by, sig))
+    bad = search.unmatched("1", outer_after=True, match_after=True, anchored=True)
     return ConditionReport("ind", not bad, tuple(bad))
 
 
 CONDITION_CHECKS = {
-    "dp1": cond_dp1,
-    "dp2": cond_dp2,
-    "dp3": cond_dp3,
-    "dp4": cond_dp4,
-    "rec": cond_rec,
-    "ind": cond_ind,
+    "dp1": cond_dp1, "dp2": cond_dp2, "dp3": cond_dp3,
+    "dp4": cond_dp4, "rec": cond_rec, "ind": cond_ind,
 }

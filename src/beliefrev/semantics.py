@@ -306,16 +306,21 @@ def null_change(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     return RevisionOutcome(model, "null", formula)
 
 
+def _preorder_edges(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+    """Every set of off-diagonal index pairs on ``n`` elements whose
+    reflexive closure is transitive, by brute force in a fixed order."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for picks in itertools.product((False, True), repeat=len(cells)):
+        chosen = frozenset(c for c, on in zip(cells, picks) if on)
+        if all(a == d or (a, d) in chosen for a, b in chosen for c, d in chosen if b == c):
+            yield chosen
+
+
 def enumerate_preorders(n: int) -> Iterator[np.ndarray]:
     """All reflexive transitive relations on ``n`` elements, in a fixed
     order. There are 4 for n=2 and 29 for n=3; meant for small n only."""
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for picks in itertools.product((False, True), repeat=len(cells)):
+    for edges in _preorder_edges(n):
         mat = np.eye(n, dtype=bool)
-        for (i, j), on in zip(cells, picks):
-            if on:
-                mat[i, j] = True
-        implied = (mat.astype(np.uint8) @ mat.astype(np.uint8)) > 0
-        if (implied & ~mat).any():
-            continue
+        for i, j in edges:
+            mat[i, j] = True
         yield mat

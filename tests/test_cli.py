@@ -261,6 +261,21 @@ def test_demo_harmony_custom_pool_and_atoms(capsys):
     assert "all 12 instances" in out
 
 
+def test_demo_harmony_rejects_invalid_atoms(capsys):
+    for atoms in ("p T", ""):
+        code, out, err = run(capsys, "demo", "harmony", "--atoms", atoms)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --atoms")
+
+
+def test_demo_harmony_rejects_a_negative_bound(capsys):
+    code, out, err = run(capsys, "demo", "harmony", "--bound", "-1")
+    assert code == 2
+    assert out == ""
+    assert "negative" in err
+
+
 def test_revise_graph_json(capsys, graph_file):
     code, out, _ = run(capsys, "revise", graph_file, "--op", "prefix", "--by", "p & q", "--json")
     assert code == 0

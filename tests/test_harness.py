@@ -121,6 +121,8 @@ def test_sweep_harmony_single_nodes():
 def test_sweep_harmony_rejects_excessive_bounds():
     with pytest.raises(ResourceBoundError):
         sweep_harmony(4, SIG_PQ, pool())
+    with pytest.raises(ResourceBoundError):
+        sweep_harmony(-1, SIG_PQ, pool())
     big = Signature(("a", "b", "c", "d", "e"))
     with pytest.raises(ResourceBoundError):
         sweep_harmony(2, big, tuple())

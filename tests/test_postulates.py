@@ -272,6 +272,7 @@ def test_condition_soundness_landscape_on_the_two_node_sweep():
     # every condition acceptance is sound; for the identity the only
     # accept-but-fail gaps are recalcitrance and independence
     gaps = set()
+    failing = 0
     transformations = {"prefix": prefix, "null": null_transform}
     pairing = {
         "dp1": (cond_dp1, check_dp1),
@@ -288,7 +289,10 @@ def test_condition_soundness_landscape_on_the_two_node_sweep():
                 transformed = t(g, by)
                 revised = canonical_model(transformed, SIG_PQ)
                 for name, (cond, check) in pairing.items():
-                    if cond(g, by, transformed, SIG_PQ).holds:
-                        if not check(base, by, revised).holds:
-                            gaps.add((t_name, name))
+                    report = check(base, by, revised)
+                    reverify(report, base, by, revised)
+                    failing += not report.holds
+                    if cond(g, by, transformed, SIG_PQ).holds and not report.holds:
+                        gaps.add((t_name, name))
     assert gaps == {("null", "rec"), ("null", "ind")}
+    assert failing  # the witnesses re-verified above include failing ones

@@ -1,0 +1,115 @@
+"""Differential test: the postulate layer against its loop reference.
+
+``reference_postulates`` holds the original per-pair loops and nested label
+quantifiers. Every report here must match it exactly, witness order
+included, and every error must match in type and message.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_postulates as reference
+from beliefrev import (
+    CONDITION_CHECKS,
+    SEMANTIC_CHECKS,
+    Atom,
+    PGraph,
+    PreferenceModel,
+    World,
+    canonical_model,
+    enumerate_pgraphs,
+    null_transform,
+    prefix,
+)
+from helpers import SIG_PQ, f, graph, pool, preorder_models_on_trio
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def assert_same_checks(before, by, after):
+    for name, check in SEMANTIC_CHECKS.items():
+        expected = outcome(reference.SEMANTIC_CHECKS[name], before, by, after)
+        assert outcome(check, before, by, after) == expected, name
+
+
+def assert_same_conditions(before, by, after, sig=SIG_PQ):
+    for name, cond in CONDITION_CHECKS.items():
+        expected = outcome(reference.CONDITION_CHECKS[name], before, by, after, sig)
+        assert outcome(cond, before, by, after, sig) == expected, name
+
+
+def test_two_node_sweep_matches_the_loop_reference():
+    for g in enumerate_pgraphs(pool(), 2):
+        base = canonical_model(g, SIG_PQ)
+        for by in pool():
+            for transform in (prefix, null_transform):
+                transformed = transform(g, by)
+                assert_same_conditions(g, by, transformed)
+                assert_same_checks(base, by, canonical_model(transformed, SIG_PQ))
+
+
+def test_trio_preorder_pairs_match_the_loop_reference():
+    models = preorder_models_on_trio()
+    for before in models:
+        for after in models:
+            for by in pool():
+                assert_same_checks(before, by, after)
+
+
+def test_errors_match_the_loop_reference():
+    cyclic = PGraph({"a": Atom("p"), "b": Atom("q")}, [("a", "b"), ("b", "a")])
+    looped = PGraph({"a": Atom("p")}, [("a", "a")])
+    g = graph({"a": "p", "b": "q"}, [("a", "b")])
+    unknown = Atom("r")
+    assert_same_conditions(cyclic, f("p"), g)
+    assert_same_conditions(g, f("p"), looped)
+    assert_same_conditions(g, unknown, g)
+
+    trio = preorder_models_on_trio()[0]
+    short = trio.restricted_to(("w1", "w2"))
+    assert_same_checks(trio, f("p"), short)
+    assert_same_checks(trio, unknown, trio)
+
+
+def closed(relation: np.ndarray) -> np.ndarray:
+    """Reflexive transitive closure by Warshall's algorithm."""
+    out = relation | np.eye(len(relation), dtype=bool)
+    for k in range(len(out)):
+        out |= out[:, [k]] & out[[k], :]
+    return out
+
+
+def shuffled(n: int):
+    """A permutation of range(n) that is not the identity when n > 1."""
+    return st.permutations(range(n)).filter(lambda p: n < 2 or list(p) != sorted(p))
+
+
+@st.composite
+def revision_triples(draw):
+    """A random preorder, a pool formula and a second random preorder over
+    the same worlds. Ids are not listed in sorted order, and the second
+    model lists its worlds in another order than the first."""
+    n = draw(st.integers(1, 6))
+    names = [f"w{i}" for i in draw(shuffled(n))]
+    valuations = draw(st.lists(st.sampled_from(list(SIG_PQ.valuations())), min_size=n, max_size=n))
+    worlds = [World(name, v) for name, v in zip(names, valuations)]
+
+    def preorder() -> np.ndarray:
+        cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        return closed(np.array(cells, dtype=bool).reshape(n, n))
+
+    before = PreferenceModel(worlds, preorder())
+    after = PreferenceModel([worlds[i] for i in draw(shuffled(n))], preorder())
+    return before, draw(st.sampled_from(pool())), after
+
+
+@settings(max_examples=100, deadline=None)
+@given(revision_triples())
+def test_checkers_match_the_loop_reference_on_permuted_models(triple):
+    assert_same_checks(*triple)
