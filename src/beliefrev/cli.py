@@ -33,7 +33,10 @@ DEFAULT_POOL = ("p", "q", "~p", "p & q", "p | q")
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BeliefRevError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _sniff(text: str) -> str:

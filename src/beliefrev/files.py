@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .errors import FileFormatError
 from .formula import Formula, Signature, Valuation, parse, to_text
 from .pgraph import PGraph
-from .semantics import PreferenceModel, World
+from .semantics import PreferenceModel, World, _compose, _strict
 
 _ATOMS_RE = re.compile(r"atoms\s*:\s*(.*)")
 _NODE_RE = re.compile(r"node\s+(\w+)\s*:\s*(.+)")
@@ -157,19 +159,11 @@ def dump_graph(sig: Signature, graph: PGraph) -> str:
 def _class_reduction(model: PreferenceModel) -> list[tuple[str, str]]:
     """Edges between tie-class representatives forming the transitive
     reduction of the class order."""
-    classes = model.tie_classes()
-    reps = [group[0] for group in classes]
-    strict = {
-        (a, b)
-        for a in reps
-        for b in reps
-        if a != b and model.strictly_below(a, b)
-    }
-    reduced = []
-    for a, b in sorted(strict):
-        if not any((a, c) in strict and (c, b) in strict for c in reps):
-            reduced.append((a, b))
-    return reduced
+    ids = model.ids
+    reps = [model.index(group[0]) for group in model.tie_classes()]
+    strict = _strict(model.matrix)[np.ix_(reps, reps)]
+    reduced = strict & ~_compose(strict, strict)
+    return sorted((ids[reps[a]], ids[reps[b]]) for a, b in np.argwhere(reduced))
 
 
 def dump_model(sig: Signature, model: PreferenceModel) -> str:

@@ -32,6 +32,7 @@ from .formula import Formula, Or, Signature, eval_formula
 from .semantics import (
     PreferenceModel,
     World,
+    _compose,
     _preorder_edges,
     transitive_closure,
     worlds_for_signature,
@@ -156,15 +157,13 @@ def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
 
     ``w <= w'`` holds iff for every node formula f: (w' |= f implies
     w |= f), or some strictly more important node formula g has w |= g and
-    w' |/= g. Evaluated for all pairs at once via the node satisfaction
-    table.
+    w' |/= g. Evaluated for all pairs at once, one node at a time, via the
+    node satisfaction table.
     """
     graph.validate()
     worlds = tuple(worlds)
     ids = graph.node_ids
     n, m = len(ids), len(worlds)
-    if n == 0:
-        return np.ones((m, m), dtype=bool)
     sat = np.array(
         [[eval_formula(graph.label(node), w.valuation) for w in worlds] for node in ids],
         dtype=bool,
@@ -173,21 +172,18 @@ def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
     prec = np.zeros((n, n), dtype=bool)
     for a, b in graph.prec():
         prec[index[a], index[b]] = True
-    # implication[f, w, w'] : w' |= f  =>  w |= f
-    implication = ~sat[:, None, :] | sat[:, :, None]
-    # difference[g, w, w'] : w |= g and w' |/= g
-    difference = sat[:, :, None] & ~sat[:, None, :]
-    # escape[f, w, w'] : some g strictly more important than f separates w from w'
-    escape = (
-        np.tensordot(prec.astype(np.uint8), difference.astype(np.uint8), axes=([0], [0]))
-        > 0
-    )
-    return (implication | escape).all(axis=0)
+    out = np.ones((m, m), dtype=bool)
+    for f in range(n):
+        # w' |= f => w |= f, or some g above f has w |= g and w' |/= g
+        above = sat[prec[:, f]]
+        out &= ~sat[f] | sat[f][:, None] | _compose(above.T, ~above)
+    return out
 
 
 def induce_model(graph: PGraph, worlds: Sequence[World]) -> PreferenceModel:
     """Preference model whose relation is the induced order; constructing it
-    re-checks reflexivity, transitivity, and well-foundedness."""
+    re-checks reflexivity and transitivity, which on finite models implies
+    well-foundedness (an acyclic strict part)."""
     return PreferenceModel(tuple(worlds), induced_order(graph, worlds))
 
 
@@ -233,15 +229,16 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
     valuation must be tied, since induced orders cannot distinguish them.
     Raises :class:`NotRepresentableError` otherwise.
     """
-    worlds = model.worlds
-    for a, b in itertools.combinations(worlds, 2):
-        if a.valuation == b.valuation and not (
-            model.leq(a.id, b.id) and model.leq(b.id, a.id)
-        ):
-            raise NotRepresentableError(a.id, b.id)
+    worlds, mat = model.worlds, model.matrix
+    codes: dict = {}
+    valuation = np.array([codes.setdefault(w.valuation, len(codes)) for w in worlds])
+    untied = np.argwhere(np.triu((valuation[:, None] == valuation) & ~(mat & mat.T), 1))
+    if len(untied):
+        a, b = untied[0]
+        raise NotRepresentableError(worlds[a].id, worlds[b].id)
     labels: dict[str, Formula] = {}
-    for w in worlds:
-        down = {v.valuation for v in worlds if model.leq(v.id, w.id)}
+    for j, w in enumerate(worlds):
+        down = {worlds[i].valuation for i in np.flatnonzero(mat[:, j])}
         labels[w.id] = _disjunction_of_minterms(down)
     return PGraph(labels)
 

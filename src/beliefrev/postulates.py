@@ -27,7 +27,7 @@ import numpy as np
 from .errors import WorldSetMismatchError
 from .formula import BOT, TOP, And, Formula, Not, Signature, entails, equivalent
 from .pgraph import PGraph
-from .semantics import PreferenceModel
+from .semantics import PreferenceModel, _minimal, _strict
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,6 @@ def _shared_ids(before: PreferenceModel, after: PreferenceModel) -> list[str]:
 # marks the worlds satisfying the revision formula, ``b`` and ``a`` are the
 # relations before and after. A pair postulate is a mask over (w, w') whose
 # set cells, in row-major order, are its witnesses.
-
-
-def _strict(m: np.ndarray) -> np.ndarray:
-    return m & ~m.T
-
-
-def _minimal(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The worlds of ``s`` that no world of ``s`` is strictly below in ``m``."""
-    return s & ~(s[:, None] & _strict(m)).any(axis=0)
 
 
 _MASKS = {

@@ -3,9 +3,12 @@
 A preference model is a finite set of worlds carrying valuations, plus a
 reflexive transitive relation ``leq`` read as "at least as preferred as"
 (minimal worlds are the most plausible ones). On finite models the
-well-foundedness of the strict part amounts to its acyclicity, which is what
-gets validated here. The relation is stored as a dense boolean matrix so
-pairwise queries during postulate sweeps are O(1).
+well-foundedness of the strict part amounts to its acyclicity, which follows
+from transitivity and so is not checked separately: a strict cycle would
+make the successor of its first step at least as preferred as its start.
+The relation is stored as a dense boolean matrix so pairwise queries during
+postulate sweeps are O(1), and every relation question is answered with
+boolean masks and the one exact relation product ``_compose``.
 """
 
 from __future__ import annotations
@@ -45,21 +48,26 @@ def worlds_for_signature(sig: Signature) -> tuple[World, ...]:
     return tuple(World(i, v) for i, v in zip(ids, valuations))
 
 
-def reflexive_transitive_closure(matrix: np.ndarray) -> np.ndarray:
-    """Smallest reflexive transitive relation containing ``matrix``."""
-    n = matrix.shape[0]
-    closed = matrix | np.eye(n, dtype=bool)
-    while True:
-        step = closed | ((closed.astype(np.uint8) @ closed.astype(np.uint8)) > 0)
-        if np.array_equal(step, closed):
-            return closed
-        closed = step
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Relational composition of two boolean matrices."""
+    # A float32 sum of non-negative terms is zero only when every term is,
+    # so ``> 0`` is exact at any size, unlike a fixed-width integer count.
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _strict(m: np.ndarray) -> np.ndarray:
+    return m & ~m.T
+
+
+def _minimal(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The worlds of ``s`` that no world of ``s`` is strictly below in ``m``."""
+    return s & ~(s[:, None] & _strict(m)).any(axis=0)
 
 
 def transitive_closure(matrix: np.ndarray) -> np.ndarray:
     closed = matrix.copy()
     while True:
-        step = closed | ((closed.astype(np.uint8) @ closed.astype(np.uint8)) > 0)
+        step = closed | _compose(closed, closed)
         if np.array_equal(step, closed):
             return closed
         closed = step
@@ -93,16 +101,12 @@ class PreferenceModel:
         if not mat.diagonal().all():
             bad = ids[int(np.argmin(mat.diagonal()))]
             raise ModelInvariantError(f"relation is not reflexive at {bad!r}")
-        implied = (mat.astype(np.uint8) @ mat.astype(np.uint8)) > 0
-        missing = implied & ~mat
+        missing = _compose(mat, mat) & ~mat
         if missing.any():
             a, b = (int(x) for x in np.argwhere(missing)[0])
             raise ModelInvariantError(
                 f"relation is not transitive: {ids[a]!r} <= {ids[b]!r} is implied but absent"
             )
-        strict = mat & ~mat.T
-        if transitive_closure(strict).diagonal().any():
-            raise ModelInvariantError("strict part of the relation has a cycle")
 
         mat.setflags(write=False)
         self._worlds = worlds
@@ -135,7 +139,7 @@ class PreferenceModel:
         mat = np.zeros((len(worlds), len(worlds)), dtype=bool)
         for a, b in edges:
             mat[index[a], index[b]] = True
-        return cls(worlds, reflexive_transitive_closure(mat))
+        return cls(worlds, transitive_closure(mat | np.eye(len(worlds), dtype=bool)))
 
     # --- accessors --------------------------------------------------------
 
@@ -189,33 +193,17 @@ class PreferenceModel:
     def tie_classes(self) -> list[list[str]]:
         """Partition of world ids into mutual-preference classes, ordered by
         preference (most preferred class first, id tiebreak inside)."""
-        ids = list(self.ids)
-        assigned: dict[str, int] = {}
-        classes: list[list[str]] = []
-        for a in ids:
-            if a in assigned:
-                continue
-            group = [b for b in ids if self.leq(a, b) and self.leq(b, a)]
-            for b in group:
-                assigned[b] = len(classes)
-            classes.append(sorted(group, key=ids.index))
-        # Kahn layers over the class order, deterministically
-        remaining = list(range(len(classes)))
-        ordered: list[list[str]] = []
-        while remaining:
-            ready = [
-                c
-                for c in remaining
-                if not any(
-                    o != c and self.leq(classes[o][0], classes[c][0])
-                    for o in remaining
-                )
-            ]
-            ready.sort(key=lambda c: classes[c][0])
-            for c in ready:
-                ordered.append(classes[c])
-                remaining.remove(c)
-        return ordered
+        ids = self.ids
+        tied = self._matrix & self._matrix.T
+        reps = np.flatnonzero(tied.argmax(1) == np.arange(len(ids)))
+        below = _strict(self._matrix[np.ix_(reps, reps)])
+        # A class's layer is the longest strict chain below it. Ordering by
+        # predecessor count is topological, as the strict part is transitive.
+        layer = np.zeros(len(reps), dtype=np.int64)
+        for c in np.argsort(below.sum(axis=0)):
+            layer[c] = layer[below[:, c]].max(initial=-1) + 1
+        order = sorted(range(len(reps)), key=lambda c: (layer[c], ids[reps[c]]))
+        return [[ids[i] for i in np.flatnonzero(tied[reps[c]])] for c in order]
 
     def describe_order(self) -> str:
         """Readable one-line rendering, e.g. ``w_pq < w_p < {w_q ~ w_0}``."""
@@ -236,10 +224,8 @@ class PreferenceModel:
             self.world(i).valuation != other.world(i).valuation for i in self.ids
         ):
             return False
-        order = sorted(self.ids)
-        return all(
-            self.leq(a, b) == other.leq(a, b) for a in order for b in order
-        )
+        rows = [other.index(i) for i in self.ids]
+        return np.array_equal(self._matrix, other.matrix[np.ix_(rows, rows)])
 
     def __hash__(self):
         raise TypeError("preference models are not hashable")
@@ -261,12 +247,8 @@ class RevisionOutcome:
 def min_worlds(model: PreferenceModel, formula: Formula) -> frozenset[World]:
     """The most preferred worlds satisfying ``formula``; empty iff no world
     satisfies it."""
-    sat = model.satisfying(formula)
-    return frozenset(
-        w
-        for w in sat
-        if not any(model.strictly_below(o.id, w.id) for o in sat)
-    )
+    minimal = _minimal(_sat_vector(model, formula), model.matrix)
+    return frozenset(w for w, keep in zip(model.worlds, minimal) if keep)
 
 
 def _sat_vector(model: PreferenceModel, formula: Formula) -> np.ndarray:
@@ -291,8 +273,7 @@ def natural_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     """Natural revision: only the most preferred satisfying worlds are
     promoted, becoming the globally most preferred; the rest keep their
     relative order."""
-    minimal = min_worlds(model, formula)
-    min_vec = np.array([w in minimal for w in model.worlds], dtype=bool)
+    min_vec = _minimal(_sat_vector(model, formula), model.matrix)
     promoted = np.repeat(min_vec[:, None], len(model.worlds), axis=1)
     kept = model.matrix & ~min_vec[:, None] & ~min_vec[None, :]
     revised = promoted | kept

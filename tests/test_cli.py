@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,14 @@ def test_induce_dumps_the_canonical_model(capsys, graph_file):
     assert "# preference order: w_pq < w_p < w_q < w_0" in out
 
 
+@pytest.mark.parametrize("name", ["chain8", "ties5"])
+def test_induce_matches_the_golden_dump(capsys, name):
+    data = Path(__file__).parent / "data"
+    code, out, _ = run(capsys, "induce", str(data / f"{name}.pg"))
+    assert code == 0
+    assert out == (data / f"{name}.model").read_text(encoding="utf-8")
+
+
 def test_induce_json(capsys, graph_file):
     code, out, _ = run(capsys, "induce", graph_file, "--json")
     assert code == 0
@@ -92,6 +101,15 @@ def test_revise_model_naturally(capsys, model_file):
     code, out, _ = run(capsys, "revise", model_file, "--op", "natural", "--by", "~p")
     assert code == 0
     assert "# preference order: w_q < w_pq < w_p < w_0" in out
+
+
+def test_revise_rejects_non_utf8_input(capsys, tmp_path):
+    path = tmp_path / "bad.model"
+    path.write_bytes(CHAIN_MODEL.encode() + b"# \xff\n")
+    code, out, err = run(capsys, "revise", str(path), "--op", "lex", "--by", "p")
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err
 
 
 def test_revise_graph_by_prefixing(capsys, graph_file):

@@ -43,6 +43,19 @@ def test_parse_model_file_closes_the_order():
     assert m == chain_fixture()
 
 
+def test_model_file_closes_through_256_middles():
+    middles = [f"k{i}" for i in range(256)]
+    text = "\n".join(
+        ["atoms: p", "world a: p", "world b: ~p"]
+        + [f"world {k}: p" for k in middles]
+        + [f"a <= {k}" for k in middles]
+        + [f"{k} <= b" for k in middles]
+    )
+    _, m = parse_model_file(text)
+    assert len(m.worlds) == 258
+    assert m.leq("a", "b") and not m.leq("b", "a")
+
+
 def test_model_file_ties_via_opposite_edges():
     text = CHAIN_MODEL + "w_0 <= w_q\n"
     _, m = parse_model_file(text)

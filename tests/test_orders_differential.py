@@ -1,0 +1,66 @@
+"""Differential test: the order queries against their loop reference.
+
+``reference_orders`` holds the per-pair ``leq`` loops that tie classes, the
+class reduction, minimal worlds and model equality used before they became
+matrix operations. Every rendering and every answer here must match it
+exactly. World ids are chosen so that their string order differs from the
+world order, since the two orders break different ties.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_orders as reference
+from beliefrev import BOT, TOP, PreferenceModel, Valuation, World, enumerate_preorders, min_worlds
+from beliefrev.files import dump_model, model_to_dot
+from helpers import SIG_PQ, canonical_pq, pool
+
+FORMULAS = pool() + (TOP, BOT)
+
+
+def assert_same_queries(model, other):
+    assert model.tie_classes() == reference.tie_classes(model)
+    assert model.describe_order() == reference.describe_order(model)
+    assert dump_model(SIG_PQ, model) == reference.dump_model(SIG_PQ, model)
+    assert model_to_dot(model) == reference.model_to_dot(model)
+    for formula in FORMULAS:
+        assert min_worlds(model, formula) == reference.min_worlds(model, formula)
+    assert (model == other) == reference.equal(model, other)
+
+
+def reversed_copy(model):
+    return PreferenceModel(model.worlds[::-1], model.matrix[::-1, ::-1])
+
+
+def test_all_four_world_preorders_match_the_loop_reference():
+    ids = ("w2", "w10", "w0", "w1")
+    worlds = tuple(World(i, w.valuation) for i, w in zip(ids, canonical_pq()))
+    models = [PreferenceModel(worlds, mat) for mat in enumerate_preorders(4)]
+    assert len(models) == 355
+    for model, following in zip(models, models[1:] + models[:1]):
+        assert_same_queries(model, reversed_copy(model))
+        assert_same_queries(model, reversed_copy(following))
+
+
+@st.composite
+def preorders(draw):
+    n = draw(st.integers(1, 12))
+    ids = [f"w{k}" for k in draw(st.permutations(range(n)))]
+    valuations = [
+        Valuation(SIG_PQ, draw(st.tuples(st.booleans(), st.booleans()))) for _ in ids
+    ]
+    index = st.integers(0, n - 1)
+    mat = np.eye(n, dtype=bool)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=2 * n)):
+        mat[a, b] = True
+    for k in range(n):  # Warshall's closure
+        mat |= mat[:, k : k + 1] & mat[k]
+    return PreferenceModel([World(i, v) for i, v in zip(ids, valuations)], mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(preorders(), preorders())
+def test_random_preorders_match_the_loop_reference(model, other):
+    assert_same_queries(model, reversed_copy(model))
+    assert_same_queries(model, other)

@@ -111,6 +111,15 @@ def test_induced_order_matches_brute_force_oracle_on_random_graphs():
         assert model_pairs(got) == oracle_induced_pairs(g, worlds)
 
 
+def test_induced_order_with_256_nodes_above_one():
+    labels = {f"n{i}": f("p") for i in range(256)} | {"low": f("q")}
+    g = PGraph(labels, {(f"n{i}", "low") for i in range(256)})
+    worlds = canonical_pq()
+    got = induce_model(g, worlds)
+    assert got.leq("w_p", "w_q")
+    assert model_pairs(got) == oracle_induced_pairs(g, worlds)
+
+
 def test_induced_order_is_valuation_determined():
     # worlds sharing a valuation are always tied
     v_pq = Valuation(SIG_PQ, (True, True))

@@ -62,6 +62,19 @@ def test_model_rejects_broken_relations():
         PreferenceModel(twice, np.eye(2, dtype=bool))
 
 
+def test_model_rejects_an_intransitivity_through_256_middles():
+    # 256 paths a <= k <= b: a path count kept in 8 bits wraps to 0 here
+    v = Valuation(Signature(("p",)), (True,))
+    worlds = [World("a", v), World("b", v)] + [World(f"k{i}", v) for i in range(256)]
+    mat = np.eye(len(worlds), dtype=bool)
+    mat[0, 2:] = True
+    mat[2:, 1] = True
+    with pytest.raises(ModelInvariantError, match="not transitive: 'a' <= 'b'"):
+        PreferenceModel(worlds, mat)
+    mat[0, 1] = True
+    assert PreferenceModel(worlds, mat).leq("a", "b")
+
+
 def test_from_edges_closes_reflexively_and_transitively():
     worlds = canonical_pq()
     m = PreferenceModel.from_edges(worlds, [("w_pq", "w_p"), ("w_p", "w_q")])
