@@ -18,6 +18,7 @@ from .errors import (
     ModelInvariantError,
     NotRepresentableError,
     ResourceBoundError,
+    SignatureError,
     SignatureTooLargeError,
     UnknownAtomError,
     WorldSetMismatchError,
@@ -91,12 +92,9 @@ from .transforms import (
     RelevanceVerdict,
     RelevanceWitness,
     apply_induced,
-    get_transformation,
     null_transform,
     prefix,
-    register_transformation,
     relevance_check,
-    transformation_names,
 )
 
 __version__ = "0.1.0"
@@ -109,17 +107,16 @@ __all__ = [
     "Not", "NotRepresentableError", "Or", "PGraph", "PREFIX",
     "PostulateReport", "PreferenceModel", "RelevanceVerdict",
     "RelevanceWitness", "ResourceBoundError", "RevisionOutcome",
-    "SEMANTIC_CHECKS", "Signature", "SignatureTooLargeError", "TOP", "Top",
-    "UnknownAtomError", "Valuation", "World", "WorldSetMismatchError",
-    "apply_induced", "canonical_model", "check_cb", "check_dp1", "check_dp2",
-    "check_dp3", "check_dp4", "check_faith", "check_ind", "check_rec",
-    "cond_dp1", "cond_dp2", "cond_dp3", "cond_dp4", "cond_ind", "cond_rec",
-    "demo_fact_cb", "demo_fact_min", "entails", "enumerate_pgraphs",
-    "enumerate_preorders", "equivalent", "eval_formula",
-    "get_transformation", "graph_from_preorder", "graphs_equivalent",
+    "SEMANTIC_CHECKS", "Signature", "SignatureError",
+    "SignatureTooLargeError", "TOP", "Top", "UnknownAtomError", "Valuation",
+    "World", "WorldSetMismatchError", "apply_induced", "canonical_model",
+    "check_cb", "check_dp1", "check_dp2", "check_dp3", "check_dp4",
+    "check_faith", "check_ind", "check_rec", "cond_dp1", "cond_dp2",
+    "cond_dp3", "cond_dp4", "cond_ind", "cond_rec", "demo_fact_cb",
+    "demo_fact_min", "entails", "enumerate_pgraphs", "enumerate_preorders",
+    "equivalent", "eval_formula", "graph_from_preorder", "graphs_equivalent",
     "induce_model", "induced_order", "lex_revise", "min_worlds",
     "natural_revise", "null_change", "null_transform", "parse", "prefix",
-    "register_transformation", "relevance_check", "strict_orders",
-    "sweep_harmony", "to_text", "transformation_names",
+    "relevance_check", "strict_orders", "sweep_harmony", "to_text",
     "worlds_for_signature",
 ]

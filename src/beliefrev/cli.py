@@ -189,7 +189,7 @@ def _cmd_demo(args) -> int:
     else:
         try:
             sig = Signature(args.atoms.replace(",", " ").split())
-        except ValueError as exc:
+        except BeliefRevError as exc:
             raise BeliefRevError(f"--atoms: {exc}") from exc
         pool = tuple(parse(t.strip(), sig) for t in args.pool.split(","))
         report = sweep_harmony(args.bound, sig, pool)
@@ -261,10 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         args.dot = False
     try:
         return args.fn(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BeliefRevError as exc:
+    except (OSError, BeliefRevError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

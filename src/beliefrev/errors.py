@@ -21,6 +21,10 @@ class UnknownAtomError(BeliefRevError):
         self.atom = atom
 
 
+class SignatureError(BeliefRevError, ValueError):
+    """An atom list that is empty or has an invalid, reserved or repeated name."""
+
+
 class SignatureTooLargeError(BeliefRevError):
     """Signature exceeds the exhaustive-enumeration bound."""
 

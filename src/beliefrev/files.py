@@ -27,12 +27,10 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
-from .errors import FileFormatError
+from .errors import BeliefRevError, FileFormatError
 from .formula import Formula, Signature, Valuation, parse, to_text
 from .pgraph import PGraph
-from .semantics import PreferenceModel, World, _compose, _strict
+from .semantics import PreferenceModel, World, _describe, _generators
 
 _ATOMS_RE = re.compile(r"atoms\s*:\s*(.*)")
 _NODE_RE = re.compile(r"node\s+(\w+)\s*:\s*(.+)")
@@ -63,7 +61,7 @@ def _parse_header(lines: list[tuple[int, str]]) -> Signature:
         raise FileFormatError("atoms header lists no atoms", number)
     try:
         return Signature(names)
-    except Exception as exc:
+    except BeliefRevError as exc:
         raise FileFormatError(str(exc), number) from exc
 
 
@@ -81,7 +79,7 @@ def parse_graph_file(text: str) -> tuple[Signature, PGraph]:
                 raise FileFormatError(f"duplicate node {name!r}", number)
             try:
                 labels[name] = parse(formula_text, sig)
-            except Exception as exc:
+            except BeliefRevError as exc:
                 raise FileFormatError(str(exc), number) from exc
             continue
         edge = _GRAPH_EDGE_RE.fullmatch(line)
@@ -156,32 +154,17 @@ def dump_graph(sig: Signature, graph: PGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _class_reduction(model: PreferenceModel) -> list[tuple[str, str]]:
-    """Edges between tie-class representatives forming the transitive
-    reduction of the class order."""
-    ids = model.ids
-    reps = [model.index(group[0]) for group in model.tie_classes()]
-    strict = _strict(model.matrix)[np.ix_(reps, reps)]
-    reduced = strict & ~_compose(strict, strict)
-    return sorted((ids[reps[a]], ids[reps[b]]) for a, b in np.argwhere(reduced))
-
-
 def dump_model(sig: Signature, model: PreferenceModel) -> str:
     """Render a model file: worlds listed most preferred first, tie classes
     written as edge cycles, classes linked by their representatives."""
-    classes = model.tie_classes()
+    classes, edges = _generators(model)
     lines = [f"atoms: {' '.join(sig)}"]
-    lines.append(f"# preference order: {model.describe_order()}")
+    lines.append(f"# preference order: {_describe(classes)}")
     for group in classes:
         for world_id in group:
             world = model.world(world_id)
             lines.append(f"world {world_id}: {world.valuation.describe()}")
-    for group in classes:
-        if len(group) > 1:
-            cycle = group + [group[0]]
-            for a, b in zip(cycle, cycle[1:]):
-                lines.append(f"{a} <= {b}")
-    for a, b in _class_reduction(model):
+    for a, b in edges:
         lines.append(f"{a} <= {b}")
     return "\n".join(lines) + "\n"
 
@@ -201,16 +184,12 @@ def graph_to_dot(graph: PGraph) -> str:
 def model_to_dot(model: PreferenceModel) -> str:
     """Graphviz rendering: edges point from more preferred to less
     preferred, ties drawn both ways, transitive edges omitted."""
+    _, edges = _generators(model)
     lines = ["digraph preference {"]
     for world in model.worlds:
         label = world.valuation.describe().replace('"', '\\"')
         lines.append(f'  "{world.id}" [label="{world.id}\\n{label}"];')
-    for group in model.tie_classes():
-        if len(group) > 1:
-            cycle = group + [group[0]]
-            for a, b in zip(cycle, cycle[1:]):
-                lines.append(f'  "{a}" -> "{b}";')
-    for a, b in _class_reduction(model):
+    for a, b in edges:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

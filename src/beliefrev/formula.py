@@ -22,7 +22,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import FormulaSyntaxError, SignatureTooLargeError, UnknownAtomError
+from .errors import (
+    FormulaSyntaxError,
+    SignatureError,
+    SignatureTooLargeError,
+    UnknownAtomError,
+)
 
 # Truth tables enumerate 2**n valuations; refuse anything bigger.
 ATOM_LIMIT = 20
@@ -39,7 +44,7 @@ class Signature:
     def __init__(self, atoms: Iterable[str]):
         atoms = tuple(atoms)
         if not atoms:
-            raise ValueError("a signature needs at least one atom")
+            raise SignatureError("a signature needs at least one atom")
         if len(atoms) > ATOM_LIMIT:
             raise SignatureTooLargeError(
                 f"{len(atoms)} atoms exceed the enumeration bound of {ATOM_LIMIT}"
@@ -47,11 +52,11 @@ class Signature:
         seen = set()
         for name in atoms:
             if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"invalid atom name {name!r}")
+                raise SignatureError(f"invalid atom name {name!r}")
             if name in _RESERVED:
-                raise ValueError(f"atom name {name!r} is reserved")
+                raise SignatureError(f"atom name {name!r} is reserved")
             if name in seen:
-                raise ValueError(f"duplicate atom {name!r}")
+                raise SignatureError(f"duplicate atom {name!r}")
             seen.add(name)
         self.atoms = atoms
 
@@ -414,6 +419,11 @@ def parse(text: str, sig: Signature) -> Formula:
     """Parse formula text relative to a signature.
 
     Raises :class:`FormulaSyntaxError` with a character position for
-    malformed input and :class:`UnknownAtomError` for undeclared atoms.
+    malformed or too deeply nested input and :class:`UnknownAtomError` for
+    undeclared atoms.
     """
-    return _Parser(text, sig).parse()
+    parser = _Parser(text, sig)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise FormulaSyntaxError("formula is nested too deeply", parser.pos()) from None

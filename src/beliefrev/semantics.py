@@ -116,19 +116,6 @@ class PreferenceModel:
     # --- constructors ---------------------------------------------------
 
     @classmethod
-    def from_pairs(
-        cls, worlds: Sequence[World], pairs: Iterable[tuple[str, str]]
-    ) -> "PreferenceModel":
-        """Build from the exact relation given as id pairs. The diagonal is
-        added automatically; transitivity must already hold."""
-        worlds = tuple(worlds)
-        index = {w.id: i for i, w in enumerate(worlds)}
-        mat = np.eye(len(worlds), dtype=bool)
-        for a, b in pairs:
-            mat[index[a], index[b]] = True
-        return cls(worlds, mat)
-
-    @classmethod
     def from_edges(
         cls, worlds: Sequence[World], edges: Iterable[tuple[str, str]]
     ) -> "PreferenceModel":
@@ -193,27 +180,11 @@ class PreferenceModel:
     def tie_classes(self) -> list[list[str]]:
         """Partition of world ids into mutual-preference classes, ordered by
         preference (most preferred class first, id tiebreak inside)."""
-        ids = self.ids
-        tied = self._matrix & self._matrix.T
-        reps = np.flatnonzero(tied.argmax(1) == np.arange(len(ids)))
-        below = _strict(self._matrix[np.ix_(reps, reps)])
-        # A class's layer is the longest strict chain below it. Ordering by
-        # predecessor count is topological, as the strict part is transitive.
-        layer = np.zeros(len(reps), dtype=np.int64)
-        for c in np.argsort(below.sum(axis=0)):
-            layer[c] = layer[below[:, c]].max(initial=-1) + 1
-        order = sorted(range(len(reps)), key=lambda c: (layer[c], ids[reps[c]]))
-        return [[ids[i] for i in np.flatnonzero(tied[reps[c]])] for c in order]
+        return _class_order(self)[0]
 
     def describe_order(self) -> str:
         """Readable one-line rendering, e.g. ``w_pq < w_p < {w_q ~ w_0}``."""
-        parts = []
-        for group in self.tie_classes():
-            if len(group) == 1:
-                parts.append(group[0])
-            else:
-                parts.append("{" + " ~ ".join(group) + "}")
-        return " < ".join(parts)
+        return _describe(self.tie_classes())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceModel):
@@ -232,6 +203,54 @@ class PreferenceModel:
 
     def __repr__(self) -> str:
         return f"PreferenceModel({self.describe_order()})"
+
+
+def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray]:
+    """Tie classes in preference order, and the strict order between them.
+
+    Classes are sorted by layer, then by the id of their representative,
+    the class's first world in world order; ids inside a class keep world
+    order. Entry ``[a, b]`` of the matrix says class ``a`` is strictly more
+    preferred than class ``b``, read off the representatives.
+    """
+    ids = model.ids
+    tied = model.matrix & model.matrix.T
+    reps = np.flatnonzero(tied.argmax(1) == np.arange(len(ids)))
+    below = _strict(model.matrix[np.ix_(reps, reps)])
+    # A class's layer is the longest strict chain below it. Ordering by
+    # predecessor count is topological, as the strict part is transitive.
+    layer = np.zeros(len(reps), dtype=np.int64)
+    for c in np.argsort(below.sum(axis=0)):
+        layer[c] = layer[below[:, c]].max(initial=-1) + 1
+    order = sorted(range(len(reps)), key=lambda c: (layer[c], ids[reps[c]]))
+    classes = [[ids[i] for i in np.flatnonzero(tied[reps[c]])] for c in order]
+    return classes, below[np.ix_(order, order)]
+
+
+def _describe(classes: list[list[str]]) -> str:
+    return " < ".join(
+        group[0] if len(group) == 1 else "{" + " ~ ".join(group) + "}"
+        for group in classes
+    )
+
+
+def _generators(
+    model: PreferenceModel,
+) -> tuple[list[list[str]], list[tuple[str, str]]]:
+    """Tie classes, plus generator edges whose reflexive transitive closure
+    is the relation: a cycle through each tie class, then the transitive
+    reduction of the class order between representatives, sorted."""
+    classes, below = _class_order(model)
+    edges = [
+        edge
+        for group in classes
+        if len(group) > 1
+        for edge in zip(group, group[1:] + group[:1])
+    ]
+    reps = [group[0] for group in classes]
+    cover = below & ~_compose(below, below)
+    edges += sorted((reps[a], reps[b]) for a, b in np.argwhere(cover))
+    return classes, edges
 
 
 @dataclass(frozen=True, eq=False)

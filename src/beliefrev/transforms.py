@@ -55,28 +55,6 @@ def null_transform(graph: PGraph, formula: Formula) -> PGraph:
 PREFIX = GraphTransformation("prefix", prefix)
 NULL = GraphTransformation("null", null_transform)
 
-_REGISTRY: dict[str, GraphTransformation] = {t.name: t for t in (PREFIX, NULL)}
-
-
-def get_transformation(name: str) -> GraphTransformation:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown transformation {name!r} (known: {known})") from None
-
-
-def register_transformation(t: GraphTransformation, replace: bool = False) -> None:
-    """Extend the registry; intended for startup configuration only."""
-    if t.name in _REGISTRY and not replace:
-        raise ValueError(f"transformation {t.name!r} already registered")
-    _REGISTRY[t.name] = t
-
-
-def transformation_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
 def apply_induced(
     t: GraphTransformation,
     model: PreferenceModel,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -56,12 +57,35 @@ def test_induce_dumps_the_canonical_model(capsys, graph_file):
     assert "# preference order: w_pq < w_p < w_q < w_0" in out
 
 
-@pytest.mark.parametrize("name", ["chain8", "ties5"])
-def test_induce_matches_the_golden_dump(capsys, name):
+# Outputs too large to keep as files are pinned by their SHA-256.
+GOLDEN_SHA256 = {
+    ("chain8", "--json"): "c7db573f717127534edf8e2d77e1af964fd62fcd3b57764a67f8e42069dd06b5",
+    ("chain10", None): "fe583888e9215dcc68f625b6bbe92e4fb13efbf7c78f851c4b51c86b454e4704",
+}
+
+
+@pytest.mark.parametrize(
+    "name, flag",
+    [
+        pytest.param("chain8", None, id="chain8"),
+        pytest.param("ties5", None, id="ties5"),
+        pytest.param("chain8", "--dot", id="chain8-dot"),
+        pytest.param("ties5", "--dot", id="ties5-dot"),
+        pytest.param("chain8", "--json", id="chain8-json"),
+        pytest.param("ties5", "--json", id="ties5-json"),
+        pytest.param("chain10", None, id="chain10"),
+    ],
+)
+def test_induce_matches_the_golden_dump(capsys, name, flag):
     data = Path(__file__).parent / "data"
-    code, out, _ = run(capsys, "induce", str(data / f"{name}.pg"))
+    argv = ["induce", str(data / f"{name}.pg")] + ([flag] if flag else [])
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out == (data / f"{name}.model").read_text(encoding="utf-8")
+    if (name, flag) in GOLDEN_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, flag]
+    else:
+        suffix = {None: "model", "--dot": "dot", "--json": "json"}[flag]
+        assert out == (data / f"{name}.{suffix}").read_text(encoding="utf-8")
 
 
 def test_induce_json(capsys, graph_file):
@@ -110,6 +134,18 @@ def test_revise_rejects_non_utf8_input(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "not UTF-8" in err
+
+
+def test_deeply_nested_formulas_are_input_errors(capsys, tmp_path, model_file):
+    deep = "(" * 600 + "p" + ")" * 600
+    code, out, err = run(capsys, "revise", model_file, "--op", "lex", "--by", deep)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: formula is nested too deeply")
+    graph = tmp_path / "deep.pg"
+    graph.write_text(f"atoms: p q\nnode a: {deep}\n")
+    code, out, err = run(capsys, "induce", str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: formula is nested too deeply")
 
 
 def test_revise_graph_by_prefixing(capsys, graph_file):

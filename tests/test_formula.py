@@ -12,6 +12,7 @@ from beliefrev import (
     Not,
     Or,
     Signature,
+    SignatureError,
     SignatureTooLargeError,
     TOP,
     UnknownAtomError,
@@ -33,14 +34,10 @@ def val(p, q):
 
 
 def test_signature_invariants():
-    with pytest.raises(ValueError):
-        Signature(())
-    with pytest.raises(ValueError):
-        Signature(("p", "p"))
-    with pytest.raises(ValueError):
-        Signature(("T",))
-    with pytest.raises(ValueError):
-        Signature(("not a name",))
+    for atoms in ((), ("p", "p"), ("T",), ("not a name",)):
+        with pytest.raises(SignatureError) as caught:
+            Signature(atoms)
+        assert isinstance(caught.value, ValueError)
     with pytest.raises(SignatureTooLargeError):
         Signature(tuple(f"a{i}" for i in range(21)))
     assert len(Signature(tuple(f"a{i}" for i in range(20)))) == 20
@@ -90,6 +87,8 @@ def test_parse_errors_carry_position():
         parse("", SIG_PQ)
     with pytest.raises(FormulaSyntaxError):
         parse("p @ q", SIG_PQ)
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse("(" * 600 + "p" + ")" * 600, SIG_PQ)
     with pytest.raises(UnknownAtomError) as unk:
         parse("p & r", SIG_PQ)
     assert unk.value.atom == "r"

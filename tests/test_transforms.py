@@ -9,12 +9,10 @@ from beliefrev import (
     apply_induced,
     canonical_model,
     enumerate_pgraphs,
-    get_transformation,
     graphs_equivalent,
     lex_revise,
     null_transform,
     prefix,
-    register_transformation,
     relevance_check,
     NotRepresentableError,
     Valuation,
@@ -96,26 +94,6 @@ def test_null_transform_is_identity_and_idempotent():
     assert null_transform(g, f("p")) is g
     assert null_transform(null_transform(g, f("p")), f("p")) == g
     assert canonical_model(null_transform(g, f("q")), SIG_PQ) == canonical_model(g, SIG_PQ)
-
-
-# --- registry ------------------------------------------------------------------------
-
-
-def test_registry_lookup_and_registration():
-    assert get_transformation("prefix") is PREFIX
-    assert get_transformation("null") is NULL
-    with pytest.raises(ValueError):
-        get_transformation("unheard-of")
-    probe = GraphTransformation("probe", lambda g, formula: g)
-    register_transformation(probe)
-    try:
-        assert get_transformation("probe") is probe
-        with pytest.raises(ValueError):
-            register_transformation(probe)
-    finally:
-        from beliefrev import transforms
-
-        transforms._REGISTRY.pop("probe", None)
 
 
 def test_transformation_call_validates_output():
