@@ -24,7 +24,7 @@ from .files import (
 )
 from .formula import Signature, parse, to_text
 from .harness import demo_fact_cb, demo_fact_min, sweep_harmony
-from .pgraph import PGraph, canonical_model
+from .pgraph import PGraph, canonical_model, graphs_equivalent
 from .postulates import SEMANTIC_CHECKS
 from .semantics import PreferenceModel, lex_revise, natural_revise, null_change
 from .transforms import null_transform, prefix
@@ -111,9 +111,7 @@ def _cmd_revise(args) -> int:
         sig, graph = parse_graph_file(text)
         by = parse(args.by, sig)
         transform = prefix if args.op == "prefix" else null_transform
-        out = transform(graph, by)
-        out.validate()
-        _emit_graph(sig, out, args)
+        _emit_graph(sig, transform(graph, by), args)
         return 0
     if args.op == "prefix":
         raise BeliefRevError("prefixing acts on graphs; this is a model file")
@@ -168,8 +166,6 @@ def _cmd_equiv(args) -> int:
     sig_b, graph_b = parse_graph_file(_read(args.graph_b))
     if sig_a != sig_b:
         raise BeliefRevError("the two graph files declare different atoms")
-    from .pgraph import graphs_equivalent
-
     same = graphs_equivalent(graph_a, graph_b, sig_a)
     if args.json:
         print(json.dumps({"equivalent": same}))

@@ -66,7 +66,7 @@ def _parse_header(lines: list[tuple[int, str]]) -> Signature:
 
 
 def parse_graph_file(text: str) -> tuple[Signature, PGraph]:
-    """Parse graph text; the returned graph is already validated."""
+    """Parse graph text; building the graph rejects self-loops and cycles."""
     lines = _content_lines(text)
     sig = _parse_header(lines)
     labels: dict[str, Formula] = {}
@@ -91,9 +91,7 @@ def parse_graph_file(text: str) -> tuple[Signature, PGraph]:
             edges.add((a, b))
             continue
         raise FileFormatError(f"cannot parse graph line: {line!r}", number)
-    graph = PGraph(labels, edges)
-    graph.validate()
-    return sig, graph
+    return sig, PGraph(labels, edges)
 
 
 def _parse_literal_conjunction(

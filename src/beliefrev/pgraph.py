@@ -5,7 +5,9 @@ propositional formula, under a strict partial order ``prec`` read as
 "strictly more important than". Nodes are identifiers rather than raw
 formulas so duplicate labels are representable and adding a node can never
 alias an existing one; the induced semantics depends only on labels and on
-``prec``.
+``prec``. A graph holds ``prec`` as one closed boolean matrix over its
+nodes, and construction rejects self-loops and cycles, so no graph in
+hand needs a separate validity check.
 
 The induced order lifts node importance to worlds: ``w`` is at least as
 preferred as ``w'`` when every node formula satisfied by ``w'`` is either
@@ -26,9 +28,8 @@ from .errors import (
     GraphSelfLoopError,
     NotRepresentableError,
     SignatureTooLargeError,
-    UnknownAtomError,
 )
-from .formula import Formula, Or, Signature, eval_formula
+from .formula import Formula, Or, Signature, _check_atoms, eval_formula
 from .semantics import (
     PreferenceModel,
     World,
@@ -45,10 +46,11 @@ CANONICAL_ATOM_LIMIT = 12
 class PGraph:
     """Labelled nodes under a strict importance order.
 
-    ``edges`` holds the stored generator edges; the effective order is their
-    transitive closure, available as :meth:`prec`. Construction accepts any
-    edge set over known nodes; :meth:`validate` rejects self-loops and
-    cycles.
+    ``edges`` holds the stored generator edges. Their transitive closure is
+    the effective order, kept as the read-only boolean :attr:`matrix` over
+    ``node_ids``: entry ``[a, b]`` says node ``a`` is strictly more
+    important than node ``b``. Construction rejects edges to unknown nodes,
+    self-loops and cycles, so every graph is a strict partial order.
     """
 
     def __init__(
@@ -57,12 +59,17 @@ class PGraph:
         edges: Iterable[tuple[str, str]] = (),
     ):
         self._labels = dict(labels)
-        edges = frozenset(edges)
-        for a, b in edges:
-            if a not in self._labels or b not in self._labels:
-                missing = a if a not in self._labels else b
-                raise ValueError(f"edge endpoint {missing!r} is not a node")
-        self._edges = edges
+        self._edges = frozenset(edges)
+        unknown = {end for edge in self._edges for end in edge} - self._labels.keys()
+        if unknown:
+            raise ValueError(f"edge endpoint {min(unknown)!r} is not a node")
+        index = {n: i for i, n in enumerate(self._labels)}
+        mat = np.zeros((len(index), len(index)), dtype=bool)
+        for a, b in self._edges:
+            mat[index[a], index[b]] = True
+        self._matrix = transitive_closure(mat)
+        self._matrix.setflags(write=False)
+        self.validate()
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -78,6 +85,10 @@ class PGraph:
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
         return self._edges
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -95,54 +106,60 @@ class PGraph:
         rel = ", ".join(f"{a} < {b}" for a, b in sorted(self._edges))
         return f"PGraph({nodes}{'; ' + rel if rel else ''})"
 
-    @cached_property
-    def _closure(self) -> frozenset[tuple[str, str]]:
-        ids = self.node_ids
-        index = {n: i for i, n in enumerate(ids)}
-        mat = np.zeros((len(ids), len(ids)), dtype=bool)
-        for a, b in self._edges:
-            mat[index[a], index[b]] = True
-        closed = transitive_closure(mat)
-        return frozenset(
-            (ids[a], ids[b]) for a, b in zip(*np.nonzero(closed))
-        )
-
     def prec(self) -> frozenset[tuple[str, str]]:
-        """The transitive closure of the stored edges."""
-        return self._closure
+        """The transitive closure of the stored edges, as id pairs."""
+        ids = self.node_ids
+        return frozenset((ids[a], ids[b]) for a, b in zip(*np.nonzero(self._matrix)))
+
+    def predecessors(self, node_id: str) -> tuple[str, ...]:
+        """The nodes strictly more important than ``node_id``, in node order."""
+        return self._predecessors[node_id]
+
+    @cached_property
+    def _predecessors(self) -> dict[str, tuple[str, ...]]:
+        ids = self.node_ids
+        return {
+            n: tuple(m for m, above in zip(ids, column) if above)
+            for n, column in zip(ids, self._matrix.T.tolist())
+        }
 
     def validate(self) -> None:
-        """Confirm ``prec`` is a strict partial order.
+        """Confirm ``prec`` is a strict partial order. The constructor runs
+        this check, so it passes on every graph that exists.
 
         Raises :class:`GraphSelfLoopError` for a stored self-loop and
         :class:`GraphCycleError` (with an offending cycle) when the closure
-        is not irreflexive.
+        is not irreflexive. Either names the first offending node in node
+        order, so the message does not depend on the hash seed.
         """
-        for a, b in self._edges:
-            if a == b:
-                raise GraphSelfLoopError(a)
-        for a, b in self.prec():
-            if a == b:
-                raise GraphCycleError(self._find_cycle(a))
+        ids = self.node_ids
+        for n in ids:
+            if (n, n) in self._edges:
+                raise GraphSelfLoopError(n)
+        on_cycle = self._matrix.diagonal()
+        if on_cycle.any():
+            raise GraphCycleError(self._find_cycle(ids[on_cycle.argmax()]))
 
     def _find_cycle(self, start: str) -> tuple[str, ...]:
+        """A shortest cycle of stored edges through ``start``, found by a
+        breadth-first search that takes successors in sorted order."""
         succ: dict[str, list[str]] = {n: [] for n in self._labels}
-        for a, b in self._edges:
+        for a, b in sorted(self._edges):
             succ[a].append(b)
-        path = [start]
-        seen = {start}
-        node = start
-        while True:
-            nxt = next(
-                (m for m in succ[node] if (m, start) in self.prec() or m == start),
-                None,
-            )
-            if nxt is None or nxt == start or nxt in seen:
-                path.append(start)
-                return tuple(path)
-            path.append(nxt)
-            seen.add(nxt)
-            node = nxt
+        parent: dict[str, str] = {}
+        frontier = [start]
+        while start not in parent:
+            reached = []
+            for node in frontier:
+                for m in succ[node]:
+                    if m not in parent:
+                        parent[m] = node
+                        reached.append(m)
+            frontier = reached
+        path = [start, parent[start]]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        return tuple(reversed(path))
 
     def fresh_node_id(self, stem: str = "n") -> str:
         k = 0
@@ -158,24 +175,17 @@ def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
     ``w <= w'`` holds iff for every node formula f: (w' |= f implies
     w |= f), or some strictly more important node formula g has w |= g and
     w' |/= g. Evaluated for all pairs at once, one node at a time, via the
-    node satisfaction table.
+    node satisfaction table and the graph's order matrix.
     """
-    graph.validate()
     worlds = tuple(worlds)
-    ids = graph.node_ids
-    n, m = len(ids), len(worlds)
     sat = np.array(
-        [[eval_formula(graph.label(node), w.valuation) for w in worlds] for node in ids],
+        [[eval_formula(label, w.valuation) for w in worlds] for label in graph.labels.values()],
         dtype=bool,
     )
-    index = {node: i for i, node in enumerate(ids)}
-    prec = np.zeros((n, n), dtype=bool)
-    for a, b in graph.prec():
-        prec[index[a], index[b]] = True
-    out = np.ones((m, m), dtype=bool)
-    for f in range(n):
+    out = np.ones((len(worlds), len(worlds)), dtype=bool)
+    for f in range(len(graph)):
         # w' |= f => w |= f, or some g above f has w |= g and w' |/= g
-        above = sat[prec[:, f]]
+        above = sat[graph.matrix[:, f]]
         out &= ~sat[f] | sat[f][:, None] | _compose(above.T, ~above)
     return out
 
@@ -194,10 +204,7 @@ def canonical_model(graph: PGraph, sig: Signature) -> PreferenceModel:
         raise SignatureTooLargeError(
             f"{len(sig)} atoms exceed the canonical-model bound of {CANONICAL_ATOM_LIMIT}"
         )
-    for node in graph.node_ids:
-        for atom in graph.label(node).atoms():
-            if atom not in sig:
-                raise UnknownAtomError(atom)
+    _check_atoms(sig, *graph.labels.values())
     return induce_model(graph, worlds_for_signature(sig))
 
 

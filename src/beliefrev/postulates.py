@@ -179,10 +179,6 @@ SEMANTIC_CHECKS = {
 # transitive closure.
 
 
-def _nodes(graph: PGraph) -> list[tuple[str, Formula]]:
-    return [(n, graph.label(n)) for n in graph.node_ids]
-
-
 def _modulo(context: Formula, sig: Signature):
     """Label relation: equivalence after conjunction with ``context``."""
     return lambda f, g: equivalent(And(context, f), And(context, g), sig)
@@ -202,11 +198,9 @@ class _Counterparts:
     formula are asked lazily and memoised, as the quantifiers repeat them."""
 
     def __init__(self, before: PGraph, by: Formula, after: PGraph, sig: Signature, relation):
-        before.validate()
-        after.validate()
         self.by, self.sig, self.graphs = by, sig, (before, after)
         self.preds = [
-            {n: [g.label(m) for m in g.node_ids if (m, n) in g.prec()] for n in g.node_ids}
+            {n: [g.label(m) for m in g.predecessors(n)] for n in g.node_ids}
             for g in self.graphs
         ]
         self.related = cache(relation)
@@ -307,26 +301,21 @@ def cond_rec(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     that triple; the guarantee is for transformations satisfying the
     condition on all inputs.
     """
-    before.validate()
-    after.validate()
-    prec_after = after.prec()
     bad: list[tuple[str, str, str]] = []
 
-    for n_xi, xi in _nodes(after):
+    for n_xi, xi in after.labels.items():
         if equivalent(xi, TOP, sig) or equivalent(xi, BOT, sig):
             continue
         if entails(xi, by, sig):
             continue
         if any(
-            (n_psi, n_xi) in prec_after
-            and not equivalent(psi, BOT, sig)
-            and entails(psi, by, sig)
-            for n_psi, psi in _nodes(after)
+            not equivalent(psi, BOT, sig) and entails(psi, by, sig)
+            for psi in map(after.label, after.predecessors(n_xi))
         ):
             continue
         bad.append(("1", n_xi, str(xi)))
 
-    if not any(entails(xi, by, sig) for _, xi in _nodes(before)):
+    if not any(entails(xi, by, sig) for xi in before.labels.values()):
         bad.append(("2", "-", str(by)))
 
     return ConditionReport("rec", not bad, tuple(bad))

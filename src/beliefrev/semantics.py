@@ -125,6 +125,9 @@ class PreferenceModel:
         index = {w.id: i for i, w in enumerate(worlds)}
         mat = np.zeros((len(worlds), len(worlds)), dtype=bool)
         for a, b in edges:
+            for end in (a, b):
+                if end not in index:
+                    raise ModelInvariantError(f"edge endpoint {end!r} is not a world")
             mat[index[a], index[b]] = True
         return cls(worlds, transitive_closure(mat | np.eye(len(worlds), dtype=bool)))
 

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 from .formula import Formula, Signature
 from .pgraph import (
     PGraph,
+    canonical_model,
     enumerate_pgraphs,
     graph_from_preorder,
     graphs_equivalent,
@@ -26,16 +27,14 @@ from .semantics import PreferenceModel, RevisionOutcome
 
 @dataclass(frozen=True)
 class GraphTransformation:
-    """A named (graph, formula) -> graph procedure. Output is validated on
-    every call."""
+    """A named (graph, formula) -> graph procedure. Its output is a
+    :class:`PGraph`, so it is a strict partial order by construction."""
 
     name: str
     fn: Callable[[PGraph, Formula], PGraph]
 
     def __call__(self, graph: PGraph, formula: Formula) -> PGraph:
-        out = self.fn(graph, formula)
-        out.validate()
-        return out
+        return self.fn(graph, formula)
 
 
 def prefix(graph: PGraph, formula: Formula) -> PGraph:
@@ -129,7 +128,7 @@ def relevance_check(
     pool = tuple(label_pool) if label_pool is not None else tuple(formulas)
     classes: dict[bytes, PGraph] = {}
     for g in enumerate_pgraphs(pool, node_bound):
-        key = _fingerprint(g, sig)
+        key = canonical_model(g, sig).matrix.tobytes()
         if key in classes:
             candidates.append((classes[key], g))
         else:
@@ -149,9 +148,3 @@ def relevance_check(
                     checked,
                 )
     return RelevanceVerdict("consistent-on-sample", None, checked)
-
-
-def _fingerprint(graph: PGraph, sig: Signature) -> bytes:
-    from .pgraph import canonical_model
-
-    return canonical_model(graph, sig).matrix.tobytes()

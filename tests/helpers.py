@@ -86,9 +86,17 @@ def graph(labels: dict[str, str], edges=(), sig: Signature = SIG_PQ) -> PGraph:
 # --- independent oracles ------------------------------------------------------
 
 
+def oracle_prec(g: PGraph) -> set[tuple[str, str]]:
+    """Transitive closure of the stored edges by Warshall's algorithm."""
+    prec = set(g.edges)
+    for k in g.node_ids:
+        prec |= {(a, d) for a, b in prec if b == k for c, d in prec if c == k}
+    return prec
+
+
 def oracle_induced_pairs(g: PGraph, worlds) -> set[tuple[str, str]]:
     """Induced order by direct per-pair evaluation of the defining clause."""
-    prec = g.prec()
+    prec = oracle_prec(g)
     nodes = [(n, g.label(n)) for n in g.node_ids]
     out = set()
     for w in worlds:

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import beliefrev
 from beliefrev.cli import main
 
 CHAIN_GRAPH = """\
@@ -102,6 +106,22 @@ def test_induce_reports_parse_errors(capsys, tmp_path):
     code, _, err = run(capsys, "induce", str(bad))
     assert code == 2
     assert "line 3" in err
+
+
+def test_cycle_error_is_the_same_under_every_hash_seed(tmp_path):
+    path = tmp_path / "cycle.pg"
+    path.write_text("atoms: p q\nnode a: p\nnode b: q\nnode c: p\na < b\nb < c\nc < b\n")
+    src = str(Path(beliefrev.__file__).parent.parent)
+    errs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "beliefrev.cli", "induce", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        errs.add(done.stderr)
+    assert errs == {"error: preference cycle: b < c < b\n"}
 
 
 def test_induce_empty_graph_single_tie_class(capsys, tmp_path):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefrev import (
     GraphCycleError,
@@ -32,6 +34,7 @@ from helpers import (
     graph,
     model_pairs,
     oracle_induced_pairs,
+    oracle_prec,
     pool,
     preorder_models_on_trio,
     random_pgraph,
@@ -67,6 +70,52 @@ def test_validate_reports_cycles_and_self_loops():
         graph({"a": "p"}, [("a", "a")]).validate()
 
 
+def test_construction_rejects_cycles_and_self_loops():
+    with pytest.raises(GraphCycleError) as err:
+        PGraph({"a": f("p"), "b": f("q"), "c": f("p")}, [("a", "b"), ("b", "c"), ("c", "b")])
+    assert err.value.cycle == ("b", "c", "b")
+    with pytest.raises(GraphSelfLoopError) as err:
+        PGraph({"a": f("p"), "b": f("q")}, [("a", "b"), ("b", "b")])
+    assert err.value.node == "b"
+
+
+def test_cycle_report_is_a_cycle_of_stored_edges():
+    # Every node here reaches b, and from c the smaller successor d leads
+    # back only into c; the reported cycle must still use stored edges.
+    edges = [("b", "c"), ("c", "d"), ("d", "c"), ("c", "e"), ("e", "b")]
+    with pytest.raises(GraphCycleError) as err:
+        PGraph({n: f("p") for n in "abcde"}, edges)
+    cycle = err.value.cycle
+    assert cycle == ("b", "c", "e", "b")
+    assert set(zip(cycle, cycle[1:])) <= set(edges)
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A graph on up to 7 nodes listed in a shuffled order, with edges only
+    forward along an independent random ranking, so it is acyclic."""
+    n = draw(st.integers(0, 7))
+    listed = draw(st.permutations(range(n)))
+    ranked = draw(st.permutations(range(n)))
+    pairs = [(ranked[i], ranked[j]) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(f"n{a}", f"n{b}") for (a, b), on in zip(pairs, picks) if on]
+    return PGraph({f"n{i}": f("p") for i in listed}, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_dags())
+def test_order_matrix_prec_and_predecessors_match_warshall(g):
+    closure = oracle_prec(g)
+    ids = g.node_ids
+    expected = [[(a, b) in closure for b in ids] for a in ids]
+    assert np.array_equal(g.matrix, np.array(expected, dtype=bool).reshape(len(ids), len(ids)))
+    assert not g.matrix.flags.writeable
+    assert g.prec() == closure
+    for n in ids:
+        assert g.predecessors(n) == tuple(m for m in ids if (m, n) in closure)
+
+
 def test_closure_is_computed_from_stored_edges():
     g = graph({"a": "p", "b": "q", "c": "p | q"}, [("a", "b"), ("b", "c")])
     g.validate()
@@ -77,6 +126,12 @@ def test_closure_is_computed_from_stored_edges():
 def test_edges_must_reference_known_nodes():
     with pytest.raises(ValueError):
         PGraph({"a": f("p")}, [("a", "ghost")])
+
+
+def test_unknown_endpoint_error_names_the_least_unknown_id():
+    # Not the first one met in a frozenset, whose order follows the hash seed.
+    with pytest.raises(ValueError, match="'x' is not a node"):
+        PGraph({"a": f("p")}, [("a", "z"), ("y", "a"), ("a", "x")])
 
 
 # --- induced orders ---------------------------------------------------------------

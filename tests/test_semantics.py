@@ -83,6 +83,11 @@ def test_from_edges_closes_reflexively_and_transitively():
     assert not m.leq("w_q", "w_pq")
 
 
+def test_from_edges_names_an_unknown_world():
+    with pytest.raises(ModelInvariantError, match="edge endpoint 'ghost' is not a world"):
+        PreferenceModel.from_edges(canonical_pq(), [("w_pq", "ghost")])
+
+
 def test_model_equality_ignores_world_order():
     worlds = canonical_pq()
     a = PreferenceModel.from_edges(worlds, [("w_pq", "w_p")])
