@@ -2,7 +2,9 @@
 
 
 class BeliefRevError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors this package raises on bad input. Misuse of
+    the API, such as an edge to an unknown node or a valuation of the wrong
+    length, raises a plain :class:`ValueError` instead."""
 
 
 class FormulaSyntaxError(BeliefRevError):

@@ -110,7 +110,7 @@ def _parse_literal_conjunction(
     missing = [a for a in sig if a not in assignment]
     if missing:
         raise FileFormatError(f"valuation does not assign {missing[0]!r}", line)
-    return Valuation.from_dict(sig, assignment)
+    return Valuation(sig, tuple(assignment[a] for a in sig))
 
 
 def parse_model_file(text: str) -> tuple[Signature, PreferenceModel]:

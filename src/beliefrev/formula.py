@@ -149,7 +149,9 @@ class Formula:
     __slots__ = ()
 
     def atoms(self) -> frozenset[str]:
-        raise NotImplementedError
+        """The names of the atoms occurring in this formula, found without
+        recursion, so at any nesting depth."""
+        return frozenset(_atom_names(self))
 
     def __str__(self) -> str:
         return to_text(self)
@@ -159,28 +161,20 @@ class Formula:
 class Atom(Formula):
     name: str
 
-    def atoms(self) -> frozenset[str]:
-        return frozenset((self.name,))
-
 
 @dataclass(frozen=True, slots=True)
 class Top(Formula):
-    def atoms(self) -> frozenset[str]:
-        return frozenset()
+    """Verum, written ``T``."""
 
 
 @dataclass(frozen=True, slots=True)
 class Bot(Formula):
-    def atoms(self) -> frozenset[str]:
-        return frozenset()
+    """Falsum, written ``F``."""
 
 
 @dataclass(frozen=True, slots=True)
 class Not(Formula):
     operand: Formula
-
-    def atoms(self) -> frozenset[str]:
-        return self.operand.atoms()
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,17 +182,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
-
 
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,17 +194,11 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
-
 
 @dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
-
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
 
 
 TOP = Top()
@@ -244,9 +226,27 @@ def eval_formula(formula: Formula, valuation: Valuation) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def _atom_names(formula: Formula) -> Iterator[str]:
+    """Atom occurrences from left to right, the order :func:`to_text` prints
+    them in, walked with an explicit stack rather than recursion."""
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            yield f.name
+        elif isinstance(f, Not):
+            stack.append(f.operand)
+        elif isinstance(f, (And, Or, Implies, Iff)):
+            stack += (f.right, f.left)
+        elif not isinstance(f, (Top, Bot)):
+            raise TypeError(f"not a formula: {f!r}")
+
+
 def _check_atoms(sig: Signature, *formulas: Formula) -> None:
+    """Raise :class:`UnknownAtomError` for the leftmost atom outside ``sig``,
+    the one :func:`parse` would name."""
     for f in formulas:
-        for atom in f.atoms():
+        for atom in _atom_names(f):
             if atom not in sig:
                 raise UnknownAtomError(atom)
 

@@ -29,12 +29,13 @@ from .errors import (
     NotRepresentableError,
     SignatureTooLargeError,
 )
-from .formula import Formula, Or, Signature, _check_atoms, eval_formula
+from .formula import Formula, Or, Signature, _check_atoms
 from .semantics import (
     PreferenceModel,
     World,
     _compose,
     _preorder_edges,
+    _sat_vector,
     transitive_closure,
     worlds_for_signature,
 )
@@ -161,11 +162,12 @@ class PGraph:
             path.append(parent[path[-1]])
         return tuple(reversed(path))
 
-    def fresh_node_id(self, stem: str = "n") -> str:
+    def fresh_node_id(self) -> str:
+        """The first of ``r0``, ``r1``, ... that names no node."""
         k = 0
-        while f"{stem}{k}" in self._labels:
+        while f"r{k}" in self._labels:
             k += 1
-        return f"{stem}{k}"
+        return f"r{k}"
 
 
 def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
@@ -178,10 +180,7 @@ def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
     node satisfaction table and the graph's order matrix.
     """
     worlds = tuple(worlds)
-    sat = np.array(
-        [[eval_formula(label, w.valuation) for w in worlds] for label in graph.labels.values()],
-        dtype=bool,
-    )
+    sat = np.array([_sat_vector(worlds, label) for label in graph.labels.values()], dtype=bool)
     out = np.ones((len(worlds), len(worlds)), dtype=bool)
     for f in range(len(graph)):
         # w' |= f => w |= f, or some g above f has w |= g and w' |/= g

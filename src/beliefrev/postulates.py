@@ -27,7 +27,7 @@ import numpy as np
 from .errors import WorldSetMismatchError
 from .formula import BOT, TOP, And, Formula, Not, Signature, entails, equivalent
 from .pgraph import PGraph
-from .semantics import PreferenceModel, _minimal, _strict
+from .semantics import PreferenceModel, _minimal, _sat_vector, _strict, _world_mismatch
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,6 @@ class ConditionReport:
             raise ValueError("failing report needs a witness")
 
 
-def _shared_ids(before: PreferenceModel, after: PreferenceModel) -> list[str]:
-    if set(before.ids) != set(after.ids):
-        raise WorldSetMismatchError(
-            "models do not share a world set: "
-            f"{sorted(before.ids)} vs {sorted(after.ids)}"
-        )
-    for i in before.ids:
-        if before.world(i).valuation != after.world(i).valuation:
-            raise WorldSetMismatchError(f"world {i!r} changed valuation")
-    return sorted(before.ids)
-
-
 # --- semantic checkers -------------------------------------------------------
 #
 # Every checker reads three arrays indexed in sorted world-id order: ``s``
@@ -95,14 +83,14 @@ _MASKS = {
 def _aligned(before: PreferenceModel, by: Formula, after: PreferenceModel):
     """Sorted shared world ids, the satisfaction vector, and the relations
     before and after, all in that order."""
-    ids = _shared_ids(before, after)
-    sat = {w.id for w in before.satisfying(by)}
-
-    def relation(model: PreferenceModel) -> np.ndarray:
-        rows = np.array([model.index(i) for i in ids])
-        return model.matrix[rows[:, None], rows]
-
-    return ids, np.array([i in sat for i in ids], dtype=bool), relation(before), relation(after)
+    reason = _world_mismatch(before, after)
+    if reason is not None:
+        raise WorldSetMismatchError(reason)
+    ids = sorted(before.ids)
+    b_rows = [before.index(i) for i in ids]
+    a_rows = [after.index(i) for i in ids]
+    sat = _sat_vector(before.worlds, by)[b_rows]
+    return ids, sat, before.matrix[np.ix_(b_rows, b_rows)], after.matrix[np.ix_(a_rows, a_rows)]
 
 
 def _pair_check(

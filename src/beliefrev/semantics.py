@@ -48,6 +48,11 @@ def worlds_for_signature(sig: Signature) -> tuple[World, ...]:
     return tuple(World(i, v) for i, v in zip(ids, valuations))
 
 
+def _sat_vector(worlds: Sequence[World], formula: Formula) -> np.ndarray:
+    """Which of ``worlds`` satisfy ``formula``, as a boolean vector."""
+    return np.array([eval_formula(formula, w.valuation) for w in worlds], dtype=bool)
+
+
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Relational composition of two boolean matrices."""
     # A float32 sum of non-negative terms is zero only when every term is,
@@ -169,9 +174,7 @@ class PreferenceModel:
         )
 
     def satisfying(self, formula: Formula) -> tuple[World, ...]:
-        return tuple(
-            w for w in self._worlds if eval_formula(formula, w.valuation)
-        )
+        return tuple(itertools.compress(self._worlds, _sat_vector(self._worlds, formula)))
 
     def restricted_to(self, ids: Iterable[str]) -> "PreferenceModel":
         """Submodel over a subset of worlds, in this model's world order."""
@@ -192,11 +195,7 @@ class PreferenceModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceModel):
             return NotImplemented
-        if set(self.ids) != set(other.ids):
-            return False
-        if any(
-            self.world(i).valuation != other.world(i).valuation for i in self.ids
-        ):
+        if _world_mismatch(self, other) is not None:
             return False
         rows = [other.index(i) for i in self.ids]
         return np.array_equal(self._matrix, other.matrix[np.ix_(rows, rows)])
@@ -206,6 +205,17 @@ class PreferenceModel:
 
     def __repr__(self) -> str:
         return f"PreferenceModel({self.describe_order()})"
+
+
+def _world_mismatch(a: PreferenceModel, b: PreferenceModel) -> str | None:
+    """Why ``a`` and ``b`` do not share their worlds with equal valuations,
+    or ``None`` when they do."""
+    if set(a.ids) != set(b.ids):
+        return f"models do not share a world set: {sorted(a.ids)} vs {sorted(b.ids)}"
+    for w in a.worlds:
+        if b.world(w.id).valuation != w.valuation:
+            return f"world {w.id!r} changed valuation"
+    return None
 
 
 def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray]:
@@ -269,20 +279,14 @@ class RevisionOutcome:
 def min_worlds(model: PreferenceModel, formula: Formula) -> frozenset[World]:
     """The most preferred worlds satisfying ``formula``; empty iff no world
     satisfies it."""
-    minimal = _minimal(_sat_vector(model, formula), model.matrix)
-    return frozenset(w for w, keep in zip(model.worlds, minimal) if keep)
-
-
-def _sat_vector(model: PreferenceModel, formula: Formula) -> np.ndarray:
-    return np.array(
-        [eval_formula(formula, w.valuation) for w in model.worlds], dtype=bool
-    )
+    minimal = _minimal(_sat_vector(model.worlds, formula), model.matrix)
+    return frozenset(itertools.compress(model.worlds, minimal))
 
 
 def lex_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     """Lexicographic revision: all satisfying worlds become strictly more
     preferred than all others; order inside each block is untouched."""
-    sat = _sat_vector(model, formula)
+    sat = _sat_vector(model.worlds, formula)
     same_block = (sat[:, None] & sat[None, :]) | (~sat[:, None] & ~sat[None, :])
     crossing = sat[:, None] & ~sat[None, :]
     revised = (model.matrix & same_block) | crossing
@@ -295,7 +299,7 @@ def natural_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     """Natural revision: only the most preferred satisfying worlds are
     promoted, becoming the globally most preferred; the rest keep their
     relative order."""
-    min_vec = _minimal(_sat_vector(model, formula), model.matrix)
+    min_vec = _minimal(_sat_vector(model.worlds, formula), model.matrix)
     promoted = np.repeat(min_vec[:, None], len(model.worlds), axis=1)
     kept = model.matrix & ~min_vec[:, None] & ~min_vec[None, :]
     revised = promoted | kept

@@ -11,7 +11,7 @@ sound for "counterexample" and merely inconclusive otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .formula import Formula, Signature
 from .pgraph import (
@@ -40,7 +40,7 @@ class GraphTransformation:
 def prefix(graph: PGraph, formula: Formula) -> PGraph:
     """Add a fresh node labelled ``formula`` strictly more important than
     every existing node; everything else is preserved."""
-    new_id = graph.fresh_node_id("r")
+    new_id = graph.fresh_node_id()
     labels = {new_id: formula, **graph.labels}
     edges = set(graph.edges) | {(new_id, node) for node in graph.node_ids}
     return PGraph(labels, edges)
@@ -107,15 +107,15 @@ def relevance_check(
     formulas: Sequence[Formula],
     sig: Signature,
     node_bound: int = 2,
-    label_pool: Iterable[Formula] | None = None,
 ) -> RelevanceVerdict:
     """Search for equivalent graphs that ``t`` maps to inequivalent graphs.
 
     Checks the supplied pairs (each must already be equivalent) plus an
-    exhaustive sweep of all graphs over ``label_pool`` (default: the given
-    formulas) up to ``node_bound`` nodes, grouped into equivalence classes.
-    A counterexample verdict carries a re-verified witness; the absence of
-    one only means the sample was consistent.
+    exhaustive sweep of all graphs labelled from ``formulas`` up to
+    ``node_bound`` nodes, grouped into equivalence classes; every candidate
+    pair is then transformed by each of ``formulas``. A counterexample
+    verdict carries a re-verified witness; the absence of one only means
+    the sample was consistent.
     """
     candidates: list[tuple[PGraph, PGraph]] = []
     for a, b in pairs:
@@ -125,9 +125,8 @@ def relevance_check(
             )
         candidates.append((a, b))
 
-    pool = tuple(label_pool) if label_pool is not None else tuple(formulas)
     classes: dict[bytes, PGraph] = {}
-    for g in enumerate_pgraphs(pool, node_bound):
+    for g in enumerate_pgraphs(formulas, node_bound):
         key = canonical_model(g, sig).matrix.tobytes()
         if key in classes:
             candidates.append((classes[key], g))

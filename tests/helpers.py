@@ -179,6 +179,17 @@ def random_formula(rng: random.Random, sig: Signature, depth: int = 3) -> Formul
     return ctor(left, right)
 
 
+def oracle_atoms(formula: Formula) -> set[str]:
+    """Atom names of a formula, by plain structural recursion."""
+    if isinstance(formula, Atom):
+        return {formula.name}
+    if isinstance(formula, (Top, Bot)):
+        return set()
+    if isinstance(formula, Not):
+        return oracle_atoms(formula.operand)
+    return oracle_atoms(formula.left) | oracle_atoms(formula.right)
+
+
 def random_pgraph(rng: random.Random, sig: Signature, max_nodes: int = 4) -> PGraph:
     """Valid random graph: labels are random formulas, edges only run
     forward along a random node permutation, so the closure stays acyclic."""

@@ -181,7 +181,6 @@ def test_relevance_check_prefix_is_consistent_on_the_full_sweep():
         pool(),
         SIG_PQ,
         node_bound=2,
-        label_pool=pool(),
     )
     assert verdict.consistent
     assert verdict.witness is None
@@ -189,7 +188,7 @@ def test_relevance_check_prefix_is_consistent_on_the_full_sweep():
 
 
 def test_relevance_check_null_is_consistent():
-    verdict = relevance_check(NULL, [], pool(), SIG_PQ, node_bound=2, label_pool=pool())
+    verdict = relevance_check(NULL, [], pool(), SIG_PQ, node_bound=2)
     assert verdict.consistent
 
 
