@@ -234,10 +234,10 @@ def _atom_names(formula: Formula) -> Iterator[str]:
         f = stack.pop()
         if isinstance(f, Atom):
             yield f.name
-        elif isinstance(f, Not):
-            stack.append(f.operand)
         elif isinstance(f, (And, Or, Implies, Iff)):
             stack += (f.right, f.left)
+        elif isinstance(f, Not):
+            stack.append(f.operand)
         elif not isinstance(f, (Top, Bot)):
             raise TypeError(f"not a formula: {f!r}")
 
@@ -245,9 +245,10 @@ def _atom_names(formula: Formula) -> Iterator[str]:
 def _check_atoms(sig: Signature, *formulas: Formula) -> None:
     """Raise :class:`UnknownAtomError` for the leftmost atom outside ``sig``,
     the one :func:`parse` would name."""
+    known = sig.atoms
     for f in formulas:
         for atom in _atom_names(f):
-            if atom not in sig:
+            if atom not in known:
                 raise UnknownAtomError(atom)
 
 

@@ -87,10 +87,10 @@ def _aligned(before: PreferenceModel, by: Formula, after: PreferenceModel):
     if reason is not None:
         raise WorldSetMismatchError(reason)
     ids = sorted(before.ids)
-    b_rows = [before.index(i) for i in ids]
-    a_rows = [after.index(i) for i in ids]
+    b_rows = np.array([before.index(i) for i in ids])
+    a_rows = np.array([after.index(i) for i in ids])
     sat = _sat_vector(before.worlds, by)[b_rows]
-    return ids, sat, before.matrix[np.ix_(b_rows, b_rows)], after.matrix[np.ix_(a_rows, a_rows)]
+    return ids, sat, before.matrix[b_rows[:, None], b_rows], after.matrix[a_rows[:, None], a_rows]
 
 
 def _pair_check(
