@@ -94,7 +94,8 @@ class Signature:
 
 @dataclass(frozen=True)
 class Valuation:
-    """Total truth assignment over a signature."""
+    """Total truth assignment over a signature: bits are bools, one per
+    atom in signature order."""
 
     signature: Signature
     bits: tuple[bool, ...]
@@ -102,8 +103,6 @@ class Valuation:
     def __post_init__(self):
         if len(self.bits) != len(self.signature):
             raise ValueError("valuation must assign every atom of the signature")
-        if any(not isinstance(b, bool) for b in self.bits):
-            object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
 
     @classmethod
     def from_dict(cls, signature: Signature, assignment: Mapping[str, bool]) -> "Valuation":

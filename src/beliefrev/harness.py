@@ -202,11 +202,7 @@ def demo_fact_min(graph: PGraph, by: Formula, sig: Signature) -> DemoReport:
         for combo in itertools.combinations(worlds, size)
     ]
     models = [induce_model(graph, subset) for subset in subsets]
-
-    def min_valuations(model: PreferenceModel) -> frozenset[Valuation]:
-        return frozenset(w.valuation for w in min_worlds(model, by))
-
-    minimal = [min_valuations(m) for m in models]
+    minimal = [frozenset(w.valuation for w in min_worlds(m, by)) for m in models]
     required_false = [
         {w.valuation for w in m.worlds} - minimal[i] for i, m in enumerate(models)
     ]
@@ -230,20 +226,21 @@ def demo_fact_min(graph: PGraph, by: Formula, sig: Signature) -> DemoReport:
 
     first, second, valuation = clash
     model_a, model_b = models[first], models[second]
+    min_a, min_b = minimal[first], minimal[second]
     report.steps.append(f"model A over {[w.id for w in model_a.worlds]}: {model_a.describe_order()}")
     report.steps.append(f"model B over {[w.id for w in model_b.worlds]}: {model_b.describe_order()}")
     report.check(
         "the two models have different most-preferred valuation sets",
-        min_valuations(model_a) != min_valuations(model_b),
+        min_a != min_b,
     )
     report.check(
         f"valuation ({valuation.describe()}) must be selected in model A",
-        valuation in min_valuations(model_a),
+        valuation in min_a,
     )
     report.check(
         f"valuation ({valuation.describe()}) is present but must not be selected in model B",
         valuation in {w.valuation for w in model_b.worlds}
-        and valuation not in min_valuations(model_b),
+        and valuation not in min_b,
     )
 
     # Every formula over sig denotes one of the 2**(2**n) truth tables, and
@@ -254,11 +251,11 @@ def demo_fact_min(graph: PGraph, by: Formula, sig: Signature) -> DemoReport:
     for table in itertools.product((False, True), repeat=len(all_valuations)):
         truth = dict(zip(all_valuations, table))
         ok_a = all(
-            truth[w.valuation] == (w.valuation in min_valuations(model_a))
+            truth[w.valuation] == (w.valuation in min_a)
             for w in model_a.worlds
         )
         ok_b = all(
-            truth[w.valuation] == (w.valuation in min_valuations(model_b))
+            truth[w.valuation] == (w.valuation in min_b)
             for w in model_b.worlds
         )
         if ok_a and ok_b:
@@ -273,8 +270,8 @@ def demo_fact_min(graph: PGraph, by: Formula, sig: Signature) -> DemoReport:
         "status": "witness-found",
         "worlds_a": [w.id for w in model_a.worlds],
         "worlds_b": [w.id for w in model_b.worlds],
-        "min_valuations_a": sorted(v.describe() for v in min_valuations(model_a)),
-        "min_valuations_b": sorted(v.describe() for v in min_valuations(model_b)),
+        "min_valuations_a": sorted(v.describe() for v in min_a),
+        "min_valuations_b": sorted(v.describe() for v in min_b),
         "clash_valuation": valuation.describe(),
     }
     return report

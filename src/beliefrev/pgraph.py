@@ -35,7 +35,7 @@ from .semantics import (
     World,
     _compose,
     _preorder_edges,
-    _sat_vector,
+    _sat_table,
     transitive_closure,
     worlds_for_signature,
 )
@@ -180,7 +180,7 @@ def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
     node satisfaction table and the graph's order matrix.
     """
     worlds = tuple(worlds)
-    sat = np.array([_sat_vector(worlds, label) for label in graph.labels.values()], dtype=bool)
+    sat = _sat_table(worlds, graph.labels.values())
     out = np.ones((len(worlds), len(worlds)), dtype=bool)
     for f in range(len(graph)):
         # w' |= f => w |= f, or some g above f has w |= g and w' |/= g

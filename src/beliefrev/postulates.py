@@ -8,26 +8,32 @@ The syntactic checkers take a priority graph, the formula, and a transformed
 graph, and decide the finite quantifications over node labels that are
 sufficient for the corresponding postulate when they hold of a
 transformation on every input; all but recalcitrance are one counterpart
-search between the two graphs.
+search between the two graphs, as boolean masks over node pairs built from
+one truth row per label over the canonical worlds of the signature.
 
 Every failing report carries witnesses that re-verify against the raw
 definition. The syntactic conditions are sufficient only; their converses
 are not asserted anywhere. Quantifiers range over node labels including
 duplicates, which is safe because duplicate labels are semantically
-idempotent, and all equivalences are signature-relative.
+idempotent, and all equivalences are signature-relative. Every syntactic
+checker first raises :class:`UnknownAtomError` for the leftmost atom outside
+the signature, in the revision formula, then the original labels, then the
+transformed labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .errors import WorldSetMismatchError
-from .formula import BOT, TOP, And, Formula, Not, Signature, entails, equivalent
+from .formula import BOT, TOP, Formula, Signature, _check_atoms, entails, equivalent
 from .pgraph import PGraph
-from .semantics import PreferenceModel, _minimal, _sat_vector, _strict, _world_mismatch
+from .semantics import (
+    PreferenceModel, _compose, _minimal, _sat_table, _sat_vector, _strict, _world_mismatch,
+    worlds_for_signature,
+)
 
 
 @dataclass(frozen=True)
@@ -164,35 +170,35 @@ SEMANTIC_CHECKS = {
 #
 # Below, "before" nodes/edges are those of the original graph and "after"
 # nodes/edges those of the transformed graph; prec edges are compared after
-# transitive closure.
+# transitive closure. A label relation is a mask over (original, transformed)
+# label pairs, read off truth rows over the canonical worlds: ``s`` for the
+# revision formula, ``f`` for original labels (one axis wider, to broadcast)
+# and ``g`` for transformed labels.
 
 
-def _modulo(context: Formula, sig: Signature):
-    """Label relation: equivalence after conjunction with ``context``."""
-    return lambda f, g: equivalent(And(context, f), And(context, g), sig)
-
-
-def _agree_inside(by: Formula, sig: Signature):
-    """Label relation: an original label f and a transformed label g agree
-    inside the revision formula, as a pair of one-way entailments."""
-    neg = Not(by)
-    return lambda f, g: entails(And(by, f), g, sig) and entails(And(neg, g), f, sig)
+_RELATIONS = {
+    # equivalence after conjunction with the revision formula, or its negation
+    "by": lambda s, f, g: ((f == g) | ~s).all(-1),
+    "not_by": lambda s, f, g: ((f == g) | s).all(-1),
+    # by & f entails g, and ~by & g entails f
+    "inside": lambda s, f, g: ~((s & f & ~g) | (~s & g & ~f)).any(-1),
+}
 
 
 class _Counterparts:
     """The counterpart search of the DP-1 to DP-4 and independence conditions
-    on one (before, by, after) triple. ``relation(f, g)`` relates an original
-    label f to a transformed label g; it and equivalence to the revision
-    formula are asked lazily and memoised, as the quantifiers repeat them."""
+    on one (before, by, after) triple, as boolean masks over node pairs:
+    ``rel[b, a]`` relates original node b to transformed node a, and
+    ``is_by[a]`` marks transformed labels equivalent to the revision formula.
+    An atom outside ``sig`` raises first, as the module docstring says."""
 
-    def __init__(self, before: PGraph, by: Formula, after: PGraph, sig: Signature, relation):
-        self.by, self.sig, self.graphs = by, sig, (before, after)
-        self.preds = [
-            {n: [g.label(m) for m in g.predecessors(n)] for n in g.node_ids}
-            for g in self.graphs
-        ]
-        self.related = cache(relation)
-        self.is_by = cache(lambda f: equivalent(f, by, sig))
+    def __init__(self, before: PGraph, by: Formula, after: PGraph, sig: Signature, relation: str):
+        _check_atoms(sig, by, *before.labels.values(), *after.labels.values())
+        worlds = worlds_for_signature(sig)
+        f, self.g = (_sat_table(worlds, graph.labels.values()) for graph in (before, after))
+        self.s, self.graphs = _sat_vector(worlds, by), (before, after)
+        self.rel = _RELATIONS[relation](self.s, f[:, None], self.g)
+        self.is_by = (self.g == self.s).all(-1)
 
     def unmatched(self, clause: str, outer_after: bool, match_after: bool,
                   excuse: bool = False, anchored: bool = False) -> list[tuple[str, str, str]]:
@@ -206,31 +212,22 @@ class _Counterparts:
         formula are skipped; ``anchored`` further requires transformed outer
         nodes to entail it or to have a strict predecessor equivalent to it.
         """
-        (before, after), (preds_b, preds_a) = self.graphs, self.preds
-        outer, inner = self.graphs[outer_after], self.graphs[not outer_after]
-
-        def counterparts(n_b: str, n_a: str) -> bool:
-            if not self.related(before.label(n_b), after.label(n_a)):
-                return False
-            if match_after:
-                return all(
-                    (excuse and self.is_by(p)) or any(self.related(q, p) for q in preds_b[n_b])
-                    for p in preds_a[n_a]
-                )
-            return all(any(self.related(p, q) for q in preds_a[n_a]) for p in preds_b[n_b])
-
-        bad = []
-        for n_x in outer.node_ids:
-            x = outer.label(n_x)
-            if outer_after and self.is_by(x):
-                continue
-            anchor_ok = not anchored or entails(x, self.by, self.sig) or any(
-                map(self.is_by, preds_a[n_x])
-            )
-            pairs = [(n_c, n_x) if outer_after else (n_x, n_c) for n_c in inner.node_ids]
-            if not (anchor_ok and any(counterparts(*pair) for pair in pairs)):
-                bad.append((clause, n_x, str(x)))
-        return bad
+        rel, is_by = self.rel, self.is_by
+        up_b, up_a = (g.matrix for g in self.graphs)
+        if match_after:
+            bad = _compose(~(_compose(up_b.T, rel) | (excuse & is_by)), up_a)
+        else:
+            bad = _compose(up_b.T, ~_compose(rel, up_a))
+        pairs = rel & ~bad
+        if outer_after:
+            ok = pairs.any(0)
+            if anchored:
+                ok &= ~(self.g & ~self.s).any(-1) | (up_a & is_by[:, None]).any(0)
+            ok |= is_by
+        else:
+            ok = pairs.any(1)
+        outer = self.graphs[outer_after]
+        return [(clause, n, str(outer.label(n))) for n, good in zip(outer.node_ids, ok) if not good]
 
 
 def cond_dp1(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> ConditionReport:
@@ -243,7 +240,7 @@ def cond_dp1(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     symmetrically for every transformed node not equivalent to the revision
     formula.
     """
-    search = _Counterparts(before, by, after, sig, _modulo(by, sig))
+    search = _Counterparts(before, by, after, sig, "by")
     bad = search.unmatched("1", outer_after=False, match_after=True, excuse=True)
     bad += search.unmatched("2", outer_after=True, match_after=False)
     return ConditionReport("dp1", not bad, tuple(bad))
@@ -254,7 +251,7 @@ def cond_dp2(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     negated revision formula, predecessors matched in the forward direction
     for original nodes and excused by the revision formula for transformed
     nodes."""
-    search = _Counterparts(before, by, after, sig, _modulo(Not(by), sig))
+    search = _Counterparts(before, by, after, sig, "not_by")
     bad = search.unmatched("1", outer_after=False, match_after=False)
     bad += search.unmatched("2", outer_after=True, match_after=True, excuse=True)
     return ConditionReport("dp2", not bad, tuple(bad))
@@ -265,7 +262,7 @@ def cond_dp3(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     counterpart agreeing with it inside the revision formula (one-way
     entailments) whose new strict predecessors are the revision formula or
     counterparts of old strict predecessors."""
-    search = _Counterparts(before, by, after, sig, _agree_inside(by, sig))
+    search = _Counterparts(before, by, after, sig, "inside")
     bad = search.unmatched("1", outer_after=False, match_after=True, excuse=True)
     return ConditionReport("dp3", not bad, tuple(bad))
 
@@ -275,7 +272,7 @@ def cond_dp4(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     to the revision formula or corresponds to an original node, with old
     strict predecessors matched by new strict predecessors of the
     transformed node."""
-    search = _Counterparts(before, by, after, sig, _agree_inside(by, sig))
+    search = _Counterparts(before, by, after, sig, "inside")
     bad = search.unmatched("1", outer_after=True, match_after=False)
     return ConditionReport("dp4", not bad, tuple(bad))
 
@@ -289,8 +286,8 @@ def cond_rec(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     that triple; the guarantee is for transformations satisfying the
     condition on all inputs.
     """
+    _check_atoms(sig, by, *before.labels.values(), *after.labels.values())
     bad: list[tuple[str, str, str]] = []
-
     for n_xi, xi in after.labels.items():
         if equivalent(xi, TOP, sig) or equivalent(xi, BOT, sig):
             continue
@@ -313,7 +310,7 @@ def cond_ind(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     """Sufficient condition for independence: the DP-4 style correspondence
     plus, for transformed nodes not entailing the revision formula, a
     strict predecessor equivalent to it."""
-    search = _Counterparts(before, by, after, sig, _agree_inside(by, sig))
+    search = _Counterparts(before, by, after, sig, "inside")
     bad = search.unmatched("1", outer_after=True, match_after=True, anchored=True)
     return ConditionReport("ind", not bad, tuple(bad))
 

@@ -53,6 +53,13 @@ def _sat_vector(worlds: Sequence[World], formula: Formula) -> np.ndarray:
     return np.array([eval_formula(formula, w.valuation) for w in worlds], dtype=bool)
 
 
+def _sat_table(worlds: Sequence[World], formulas: Iterable[Formula]) -> np.ndarray:
+    """One :func:`_sat_vector` row per formula, shaped ``(len(formulas),
+    len(worlds))`` even when there are no formulas."""
+    rows = [_sat_vector(worlds, f) for f in formulas]
+    return np.array(rows, dtype=bool).reshape(len(rows), len(worlds))
+
+
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Relational composition of two boolean matrices."""
     # A float32 sum of non-negative terms is zero only when every term is,
@@ -178,9 +185,8 @@ class PreferenceModel:
 
     def restricted_to(self, ids: Iterable[str]) -> "PreferenceModel":
         """Submodel over a subset of worlds, in this model's world order."""
-        keep = [self._index[i] for i in ids]
-        keep.sort()
-        sub = self._matrix[np.ix_(keep, keep)]
+        keep = np.array(sorted(self._index[i] for i in ids), dtype=np.intp)
+        sub = self._matrix[keep[:, None], keep]
         return PreferenceModel(tuple(self._worlds[i] for i in keep), sub)
 
     def tie_classes(self) -> list[list[str]]:
@@ -197,8 +203,8 @@ class PreferenceModel:
             return NotImplemented
         if _world_mismatch(self, other) is not None:
             return False
-        rows = [other.index(i) for i in self.ids]
-        return np.array_equal(self._matrix, other.matrix[np.ix_(rows, rows)])
+        rows = np.array([other.index(i) for i in self.ids])
+        return np.array_equal(self._matrix, other.matrix[rows[:, None], rows])
 
     def __hash__(self):
         raise TypeError("preference models are not hashable")
@@ -229,15 +235,15 @@ def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray]:
     ids = model.ids
     tied = model.matrix & model.matrix.T
     reps = np.flatnonzero(tied.argmax(1) == np.arange(len(ids)))
-    below = _strict(model.matrix[np.ix_(reps, reps)])
+    below = _strict(model.matrix[reps[:, None], reps])
     # A class's layer is the longest strict chain below it. Ordering by
     # predecessor count is topological, as the strict part is transitive.
     layer = np.zeros(len(reps), dtype=np.int64)
     for c in np.argsort(below.sum(axis=0)):
         layer[c] = layer[below[:, c]].max(initial=-1) + 1
-    order = sorted(range(len(reps)), key=lambda c: (layer[c], ids[reps[c]]))
+    order = np.array(sorted(range(len(reps)), key=lambda c: (layer[c], ids[reps[c]])))
     classes = [[ids[i] for i in np.flatnonzero(tied[reps[c]])] for c in order]
-    return classes, below[np.ix_(order, order)]
+    return classes, below[order[:, None], order]
 
 
 def _describe(classes: list[list[str]]) -> str:

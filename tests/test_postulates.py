@@ -2,8 +2,12 @@ import pytest
 
 from beliefrev import (
     BOT,
+    CONDITION_CHECKS,
     SEMANTIC_CHECKS,
     TOP,
+    Atom,
+    PGraph,
+    UnknownAtomError,
     WorldSetMismatchError,
     canonical_model,
     check_cb,
@@ -296,3 +300,23 @@ def test_condition_soundness_landscape_on_the_two_node_sweep():
                         gaps.add((t_name, name))
     assert gaps == {("null", "rec"), ("null", "ind")}
     assert failing  # the witnesses re-verified above include failing ones
+
+
+@pytest.mark.parametrize(
+    "by, before_label, after_label, named",
+    [
+        ("p", "zz", None, "zz"),
+        ("yy", "zz", "ww", "yy"),
+        ("p", "zz", "ww", "zz"),
+        ("p", "q", "ww", "ww"),
+    ],
+)
+def test_every_condition_names_the_leftmost_unknown_atom(by, before_label, after_label, named):
+    # by first, then the original labels, then the transformed ones; the
+    # original graph here is one canonical_model rejects
+    before = PGraph({"a": Atom("p"), "b": Atom(before_label)}, [("a", "b")])
+    after = PGraph({} if after_label is None else {"c": Atom(after_label)})
+    for name, cond in CONDITION_CHECKS.items():
+        with pytest.raises(UnknownAtomError) as caught:
+            cond(before, Atom(by), after, SIG_PQ)
+        assert caught.value.atom == named, name

@@ -25,7 +25,7 @@ from beliefrev import (
     null_transform,
     prefix,
 )
-from helpers import SIG_PQ, f, graph, pool, preorder_models_on_trio
+from helpers import SIG_PQ, SIG_PQR, f, graph, pool, preorder_models_on_trio
 
 
 def outcome(fn, *args):
@@ -117,3 +117,38 @@ def revision_triples(draw):
 @given(revision_triples())
 def test_checkers_match_the_loop_reference_on_permuted_models(triple):
     assert_same_checks(*triple)
+
+
+# Pool labels over p, q, r, with the constants and r so that labels can be
+# trivial and need not be equivalent to any p, q formula.
+LABELS_PQR = pool(SIG_PQR) + tuple(f(t, SIG_PQR) for t in ("r", "q | ~r", "T", "F"))
+
+
+@st.composite
+def pgraphs(draw):
+    """A graph of up to 4 nodes labelled from ``LABELS_PQR``. Node ids are
+    not listed in sorted order, and edges only run forward along a random
+    ranking of the nodes, so every draw is a strict partial order."""
+    n = draw(st.integers(0, 4))
+    ids = [f"n{i}" for i in draw(shuffled(n))]
+    labels = draw(st.lists(st.sampled_from(LABELS_PQR), min_size=n, max_size=n))
+    rank = draw(st.permutations(range(n)))
+    forward = [(a, b) for a in range(n) for b in range(n) if rank[a] < rank[b]]
+    keep = draw(st.lists(st.booleans(), min_size=len(forward), max_size=len(forward)))
+    edges = [(ids[a], ids[b]) for (a, b), on in zip(forward, keep) if on]
+    return PGraph(dict(zip(ids, labels)), edges)
+
+
+@st.composite
+def condition_triples(draw):
+    """A random graph, a pool formula, and the graph's prefix, the graph
+    itself, or an independent random graph."""
+    before, by = draw(pgraphs()), draw(st.sampled_from(LABELS_PQR))
+    after = st.sampled_from([prefix(before, by), null_transform(before, by)])
+    return before, by, draw(st.one_of(after, pgraphs()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(condition_triples())
+def test_conditions_match_the_loop_reference_on_random_graphs(triple):
+    assert_same_conditions(*triple, sig=SIG_PQR)
