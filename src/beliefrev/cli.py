@@ -9,6 +9,7 @@ subcommand to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -196,6 +197,7 @@ def _cmd_demo(args) -> int:
     return 0 if report.verdict else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beliefrev",

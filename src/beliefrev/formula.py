@@ -1,9 +1,10 @@
 """Propositional formulas over a fixed finite signature.
 
-Entailment and equivalence are decided by an exhaustive truth-table sweep,
-which keeps every verdict auditable by hand at the scales this library
-targets (a handful of atoms). The concrete syntax is plain ASCII so that
-graph and model files stay hand-writable:
+Entailment and equivalence are decided by an exhaustive truth-table sweep.
+Each formula is compiled once into a short-circuiting function of a
+valuation's bits; runs of & and of | compile flat, and other nesting stops
+near Python's compiler depth (about 900 levels). The concrete syntax is
+plain ASCII so that graph and model files stay hand-writable:
 
     ~  !      negation
     &         conjunction
@@ -17,10 +18,11 @@ Precedence, tightest first: ~, &, |, -> / <->. Parentheses as usual.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     FormulaSyntaxError,
@@ -101,7 +103,7 @@ class Valuation:
     bits: tuple[bool, ...]
 
     def __post_init__(self):
-        if len(self.bits) != len(self.signature):
+        if len(self.bits) != len(self.signature.atoms):
             raise ValueError("valuation must assign every atom of the signature")
 
     @classmethod
@@ -206,23 +208,63 @@ BOT = Bot()
 
 def eval_formula(formula: Formula, valuation: Valuation) -> bool:
     """Classical truth value of ``formula`` under a total valuation."""
-    if isinstance(formula, Atom):
-        return valuation[formula.name]
-    if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Bot):
-        return False
-    if isinstance(formula, Not):
-        return not eval_formula(formula.operand, valuation)
-    if isinstance(formula, And):
-        return eval_formula(formula.left, valuation) and eval_formula(formula.right, valuation)
-    if isinstance(formula, Or):
-        return eval_formula(formula.left, valuation) or eval_formula(formula.right, valuation)
-    if isinstance(formula, Implies):
-        return (not eval_formula(formula.left, valuation)) or eval_formula(formula.right, valuation)
-    if isinstance(formula, Iff):
-        return eval_formula(formula.left, valuation) == eval_formula(formula.right, valuation)
-    raise TypeError(f"not a formula: {formula!r}")
+    return _compiled(formula, valuation.signature)(valuation.bits)
+
+
+_MEMO_SIZE = 128
+_memo: dict[tuple[int, tuple[str, ...]], tuple[Formula, Callable[[tuple], bool]]] = {}
+_AT = {"lineno": 1, "col_offset": 0}  # compile() wants a position on every node
+_BUILD = {
+    Not: lambda a: ast.UnaryOp(ast.Not(), a[0], **_AT),
+    And: lambda a: ast.BoolOp(ast.And(), a, **_AT),
+    Or: lambda a: ast.BoolOp(ast.Or(), a, **_AT),
+    Implies: lambda a: ast.BoolOp(ast.Or(), [_BUILD[Not](a), a[1]], **_AT),
+    Iff: lambda a: ast.Compare(a[0], [ast.Eq()], a[1:], **_AT),
+}
+
+
+def _compile(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
+    """Translate ``formula`` without recursion into a lambda over a bits tuple,
+    evaluated left to right; an atom outside ``sig`` raises when reached."""
+    index = {a: i for i, a in enumerate(sig.atoms)}
+    # todo holds (node, None) to translate, or (build, n) to join the last n of done
+    done, todo = [], [(formula, None)]
+    while todo:
+        f, n = todo.pop()
+        if n is not None:
+            done[-n:] = [f(done[-n:])]
+        elif isinstance(f, Atom):
+            i = ast.Constant(index.get(f.name, f.name), **_AT)
+            if f.name not in index:  # b[index(name)] raises UnknownAtomError
+                i = ast.Call(ast.Name("index", ast.Load(), **_AT), [i], [], **_AT)
+            done.append(ast.Subscript(ast.Name("b", ast.Load(), **_AT), i, ast.Load(), **_AT))
+        elif isinstance(f, (Top, Bot)):
+            done.append(ast.Constant(isinstance(f, Top), **_AT))
+        elif kind := next((k for k in _BUILD if isinstance(f, k)), None):
+            run, stack = [], [f.operand] if kind is Not else [f.right, f.left]
+            while stack:  # a run of & (or of |) joins into one flat and (or)
+                g = stack.pop()
+                if kind in (And, Or) and isinstance(g, kind):
+                    stack += (g.right, g.left)
+                else:
+                    run.append(g)
+            todo += [(_BUILD[kind], len(run))] + [(g, None) for g in reversed(run)]
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    params = ast.arguments([], [ast.arg("b", **_AT)], None, [], [], None, [])
+    code = compile(ast.Expression(ast.Lambda(params, done[0], **_AT)), "<formula>", "eval")
+    return eval(code, {"index": sig.index})
+
+
+def _compiled(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
+    """:func:`_compile`, memoised by the formula's identity. An entry holds its
+    formula, so the id is not reused while it lives; the oldest goes first."""
+    key = (id(formula), sig.atoms)
+    if key not in _memo:
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+        _memo[key] = (formula, _compile(formula, sig))
+    return _memo[key][1]
 
 
 def _atom_names(formula: Formula) -> Iterator[str]:
@@ -255,20 +297,16 @@ def entails(premise: Formula, conclusion: Formula, sig: Signature) -> bool:
     """True when every valuation over ``sig`` satisfying ``premise`` also
     satisfies ``conclusion`` (exhaustive sweep of all 2**n valuations)."""
     _check_atoms(sig, premise, conclusion)
-    return all(
-        eval_formula(conclusion, v)
-        for v in sig.valuations()
-        if eval_formula(premise, v)
-    )
+    p, c = _compiled(premise, sig), _compiled(conclusion, sig)
+    return all(c(v.bits) for v in sig.valuations() if p(v.bits))
 
 
 def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
     """Logical equivalence relative to ``sig``: equal truth value under
     every valuation. Coincides with mutual entailment."""
     _check_atoms(sig, left, right)
-    return all(
-        eval_formula(left, v) == eval_formula(right, v) for v in sig.valuations()
-    )
+    f, g = _compiled(left, sig), _compiled(right, sig)
+    return all(f(v.bits) == g(v.bits) for v in sig.valuations())
 
 
 # --- printing ---------------------------------------------------------------

@@ -13,6 +13,7 @@ boolean masks and the one exact relation product ``_compose``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ModelInvariantError
-from .formula import Formula, Signature, Valuation, eval_formula
+from .formula import Formula, Signature, Valuation, _compiled
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,9 @@ class World:
     valuation: Valuation
 
 
+@functools.lru_cache(maxsize=8)
 def worlds_for_signature(sig: Signature) -> tuple[World, ...]:
-    """One world per valuation, in canonical valuation order.
+    """One world per valuation, in canonical valuation order, cached per signature.
 
     Ids name the atoms true at the world (``w_pq``, ``w_p``, ``w_0``, ...).
     Falls back to positional ids if atom names would collide when joined.
@@ -49,8 +51,11 @@ def worlds_for_signature(sig: Signature) -> tuple[World, ...]:
 
 
 def _sat_vector(worlds: Sequence[World], formula: Formula) -> np.ndarray:
-    """Which of ``worlds`` satisfy ``formula``, as a boolean vector."""
-    return np.array([eval_formula(formula, w.valuation) for w in worlds], dtype=bool)
+    """Which of ``worlds``, all over one signature, satisfy ``formula``."""
+    if not worlds:
+        return np.zeros(0, dtype=bool)
+    fn = _compiled(formula, worlds[0].valuation.signature)
+    return np.array([fn(w.valuation.bits) for w in worlds], dtype=bool)
 
 
 def _sat_table(worlds: Sequence[World], formulas: Iterable[Formula]) -> np.ndarray:

@@ -25,10 +25,10 @@ from beliefrev import (
     Top,
     Valuation,
     World,
-    eval_formula,
     parse,
     worlds_for_signature,
 )
+from reference_formula import eval_formula
 
 SIG_PQ = Signature(("p", "q"))
 SIG_PQR = Signature(("p", "q", "r"))

@@ -1,0 +1,143 @@
+"""The compiled formula functions against the recursive reference in
+``reference_formula``: same values, same verdicts, same errors."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import beliefrev
+import reference_formula as ref
+from beliefrev import (
+    BOT,
+    TOP,
+    And,
+    Atom,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Signature,
+    UnknownAtomError,
+    Valuation,
+    entails,
+    equivalent,
+    eval_formula,
+    parse,
+    worlds_for_signature,
+)
+from beliefrev.files import parse_model_file
+from beliefrev.formula import _MEMO_SIZE, _memo
+from beliefrev.semantics import _sat_vector
+from helpers import SIG_PQ, SIG_PQR
+
+DATA = Path(__file__).parent / "data"
+KNOWN_LEAVES = [Atom("p"), Atom("q"), Atom("r"), TOP, BOT]
+WORLDS = worlds_for_signature(SIG_PQR)
+
+
+def formulas(leaves, depth=6):
+    """Formulas up to ``depth`` connectives deep over ``leaves``."""
+    sub = st.sampled_from(leaves)
+    for _ in range(depth):
+        pairs = [st.builds(kind, sub, sub) for kind in (And, Or, Implies, Iff)]
+        sub = st.one_of(st.sampled_from(leaves), sub.map(Not), *pairs)
+    return sub
+
+
+# Half the draws may contain the unknown atom zz; the other half cannot.
+KNOWN, UNKNOWN = formulas(KNOWN_LEAVES), formulas(KNOWN_LEAVES + [Atom("zz")])
+
+
+def some_formulas(n):
+    return st.one_of(st.tuples(*[KNOWN] * n), st.tuples(*[UNKNOWN] * n))
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the unknown atom it names."""
+    try:
+        value = fn(*args)
+    except UnknownAtomError as exc:
+        return ("unknown", exc.atom)
+    return ("value", value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(some_formulas(1))
+def test_eval_formula_matches_the_recursive_reference(fs):
+    (f,) = fs
+    for v in SIG_PQR.valuations():
+        assert outcome(eval_formula, f, v) == outcome(ref.eval_formula, f, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(some_formulas(2))
+def test_entails_and_equivalent_match_the_recursive_reference(fs):
+    f, g = fs
+    for mine, theirs in ((entails, ref.entails), (equivalent, ref.equivalent)):
+        assert outcome(mine, f, g, SIG_PQR) == outcome(theirs, f, g, SIG_PQR)
+        assert outcome(mine, g, f, SIG_PQR) == outcome(theirs, g, f, SIG_PQR)
+
+
+@settings(max_examples=200, deadline=None)
+@given(some_formulas(1), st.permutations(WORLDS), st.integers(0, len(WORLDS)))
+def test_sat_vector_matches_the_reference_on_shuffled_and_empty_worlds(fs, order, k):
+    (f,) = fs
+    worlds = order[:k]
+
+    def reference():
+        return np.array([ref.eval_formula(f, w.valuation) for w in worlds], dtype=bool)
+
+    assert outcome(_sat_vector, worlds, f) == outcome(reference)
+    if not worlds:
+        assert _sat_vector(worlds, f).shape == (0,)
+
+
+def test_a_2000_term_chain_behaves_as_its_atom():
+    sig, _ = parse_model_file((DATA / "ties5.model").read_text())
+    chain_text = " & ".join(["p"] * 2000)
+    chain, p = parse(chain_text, sig), parse("p", sig)
+    for v in sig.valuations():
+        assert eval_formula(chain, v) == eval_formula(p, v)
+    assert entails(chain, p, sig) and entails(p, chain, sig) and equivalent(chain, p, sig)
+
+    src = str(Path(beliefrev.__file__).parent.parent)
+    out = []
+    for by in (chain_text, "p"):
+        done = subprocess.run(
+            [sys.executable, "-m", "beliefrev.cli", "revise", str(DATA / "ties5.model"),
+             "--op", "lex", "--by", by],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        out.append(done.stdout)
+    assert out[0] == out[1]
+
+
+def test_unknown_atoms_raise_only_when_reached_and_non_formulas_at_once():
+    v = Valuation(SIG_PQ, (True, False))
+    assert eval_formula(And(BOT, Atom("zz")), v) is False
+    with pytest.raises(UnknownAtomError) as caught:
+        eval_formula(Or(BOT, Atom("zz")), v)
+    assert caught.value.atom == "zz"
+    # the recursive evaluator never reached the junk operand; compiling does
+    assert ref.eval_formula(And(BOT, "junk"), v) is False
+    with pytest.raises(TypeError, match="not a formula: 'junk'"):
+        eval_formula(And(BOT, "junk"), v)
+
+
+def test_the_memo_is_bounded_and_keyed_by_signature():
+    q, qp = Atom("q"), Signature(("q", "p"))
+    assert eval_formula(q, Valuation(SIG_PQ, (True, False))) is False
+    assert eval_formula(q, Valuation(qp, (True, False))) is True
+    v = Valuation(SIG_PQ, (True, True))
+    fresh = [And(Atom("p"), Atom("q")) for _ in range(_MEMO_SIZE + 10)]
+    for f in fresh:
+        assert eval_formula(f, v) is True
+    assert len(_memo) == _MEMO_SIZE
+    assert all(entry is f for (entry, _), f in zip(_memo.values(), fresh[-_MEMO_SIZE:]))
