@@ -97,20 +97,20 @@ def parse_graph_file(text: str) -> tuple[Signature, PGraph]:
 def _parse_literal_conjunction(
     text: str, sig: Signature, line: int
 ) -> Valuation:
-    assignment: dict[str, bool] = {}
+    bits: list[bool | None] = [None] * len(sig.atoms)
     for chunk in text.split("&"):
         literal = chunk.strip()
         negated = literal.startswith(("~", "!"))
         name = literal[1:].strip() if negated else literal
-        if name not in sig:
+        if name not in sig.atoms:
             raise FileFormatError(f"unknown atom {name!r} in valuation", line)
-        if name in assignment:
+        slot = sig.atoms.index(name)
+        if bits[slot] is not None:
             raise FileFormatError(f"atom {name!r} assigned twice", line)
-        assignment[name] = not negated
-    missing = [a for a in sig if a not in assignment]
-    if missing:
-        raise FileFormatError(f"valuation does not assign {missing[0]!r}", line)
-    return Valuation(sig, tuple(assignment[a] for a in sig))
+        bits[slot] = not negated
+    if None in bits:
+        raise FileFormatError(f"valuation does not assign {sig.atoms[bits.index(None)]!r}", line)
+    return Valuation(sig, tuple(bits))
 
 
 def parse_model_file(text: str) -> tuple[Signature, PreferenceModel]:

@@ -321,37 +321,40 @@ def _prec(f: Formula) -> int:
     return _PREC[type(f)]
 
 
+def _pushed(child: Formula, parenthesised: bool) -> tuple:
+    """Stack entries that print ``child``, in reverse of their print order."""
+    return (")", child, "(") if parenthesised else (child,)
+
+
 def to_text(formula: Formula) -> str:
     """Render with the minimum parentheses that make reparsing reproduce the
-    same tree."""
-    if isinstance(formula, Atom):
-        return formula.name
-    if isinstance(formula, Top):
-        return "T"
-    if isinstance(formula, Bot):
-        return "F"
-    if isinstance(formula, Not):
-        inner = to_text(formula.operand)
-        if _prec(formula.operand) < _PREC[Not]:
-            inner = f"({inner})"
-        return f"~{inner}"
-    own = _prec(formula)
-    left, right = formula.left, formula.right
-    left_text = to_text(left)
-    right_text = to_text(right)
-    if isinstance(formula, (And, Or)):
-        # left associative: parenthesise an equal-level right child
-        if _prec(left) < own:
-            left_text = f"({left_text})"
-        if _prec(right) <= own:
-            right_text = f"({right_text})"
-    else:
-        # right associative: parenthesise an equal-level left child
-        if _prec(left) <= own:
-            left_text = f"({left_text})"
-        if _prec(right) < own:
-            right_text = f"({right_text})"
-    return f"{left_text} {_SYMBOL[type(formula)]} {right_text}"
+    same tree. Text pieces and subformulas wait on an explicit stack, so any
+    nesting depth renders, in time linear in the output."""
+    parts: list[str] = []
+    stack: list = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, str):
+            parts.append(f)
+        elif isinstance(f, Atom):
+            parts.append(f.name)
+        elif isinstance(f, (Top, Bot)):
+            parts.append("T" if isinstance(f, Top) else "F")
+        elif isinstance(f, Not):
+            parts.append("~")
+            stack.extend(_pushed(f.operand, _prec(f.operand) < _PREC[Not]))
+        else:
+            own = _prec(f)
+            if isinstance(f, (And, Or)):
+                # left associative: parenthesise an equal-level right child
+                left_paren, right_paren = _prec(f.left) < own, _prec(f.right) <= own
+            else:
+                # right associative: parenthesise an equal-level left child
+                left_paren, right_paren = _prec(f.left) <= own, _prec(f.right) < own
+            stack.extend(_pushed(f.right, right_paren))
+            stack.append(f" {_SYMBOL[type(f)]} ")
+            stack.extend(_pushed(f.left, left_paren))
+    return "".join(parts)
 
 
 # --- parsing ----------------------------------------------------------------

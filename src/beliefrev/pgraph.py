@@ -65,10 +65,9 @@ class PGraph:
         if unknown:
             raise ValueError(f"edge endpoint {min(unknown)!r} is not a node")
         index = {n: i for i, n in enumerate(self._labels)}
-        mat = np.zeros((len(index), len(index)), dtype=bool)
-        for a, b in self._edges:
-            mat[index[a], index[b]] = True
-        self._matrix = transitive_closure(mat)
+        self._matrix = transitive_closure(
+            len(index), [(index[a], index[b]) for a, b in self._edges]
+        )
         self._matrix.setflags(write=False)
         self.validate()
 

@@ -7,8 +7,10 @@ well-foundedness of the strict part amounts to its acyclicity, which follows
 from transitivity and so is not checked separately: a strict cycle would
 make the successor of its first step at least as preferred as its start.
 The relation is stored as a dense boolean matrix so pairwise queries during
-postulate sweeps are O(1), and every relation question is answered with
-boolean masks and the one exact relation product ``_compose``.
+postulate sweeps are O(1). Closing generator edges is one depth-first pass,
+:func:`transitive_closure`, with one row OR per edge; every other relation
+question is answered with boolean masks and the one exact relation product
+``_compose``.
 """
 
 from __future__ import annotations
@@ -81,13 +83,62 @@ def _minimal(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     return s & ~(s[:, None] & _strict(m)).any(axis=0)
 
 
-def transitive_closure(matrix: np.ndarray) -> np.ndarray:
-    closed = matrix.copy()
-    while True:
-        step = closed | _compose(closed, closed)
-        if np.array_equal(step, closed):
-            return closed
-        closed = step
+def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The transitive closure of the edges ``pairs`` over nodes ``0..n-1``,
+    as a C-contiguous ``(n, n)`` bool matrix. A node reaches itself only on
+    a cycle, a self-loop included.
+
+    One iterative pass of Tarjan's depth-first search closes the relation
+    (Nuutila 1995): a strongly connected component finishes after every
+    component it reaches, so its members share one row, the OR of
+    ``1 << 8 * w | reach[w]`` over their successors ``w``. Rows are
+    Python-int bitsets with one byte per node: bit ``8 * j`` of row ``i`` is
+    set when ``i`` reaches ``j``, so each row's bytes are its matrix row.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        succ[a].append(b)
+    reach = [0] * n
+    # DFS number: 0 before the visit, and above every number once finished,
+    # so an edge into a finished component never lowers a ``low`` link. A
+    # node without successors starts finished, its row empty.
+    finished, counter = n + 1, 0
+    num, low = [0 if out else finished for out in succ], [0] * n
+    stack: list[int] = []
+    for root in range(n):
+        if num[root]:
+            continue
+        counter += 1
+        num[root] = low[root] = counter
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not num[w]:
+                    counter += 1
+                    num[w] = low[w] = counter
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == num[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    row = 0
+                    for m in members:
+                        for w in succ[m]:
+                            row |= 1 << 8 * w | reach[w]
+                    for m in members:
+                        reach[m], num[m] = row, finished
+    rows = bytearray().join([row.to_bytes(n, "little") for row in reach])
+    return np.frombuffer(rows, dtype=bool).reshape(n, n)
 
 
 class PreferenceModel:
@@ -140,13 +191,14 @@ class PreferenceModel:
         closure. Ties are expressed by edges in both directions."""
         worlds = tuple(worlds)
         index = {w.id: i for i, w in enumerate(worlds)}
-        mat = np.zeros((len(worlds), len(worlds)), dtype=bool)
+        pairs = []
         for a, b in edges:
             for end in (a, b):
                 if end not in index:
                     raise ModelInvariantError(f"edge endpoint {end!r} is not a world")
-            mat[index[a], index[b]] = True
-        return cls(worlds, transitive_closure(mat | np.eye(len(worlds), dtype=bool)))
+            pairs.append((index[a], index[b]))
+        identity = np.eye(len(worlds), dtype=bool)
+        return cls(worlds, transitive_closure(len(worlds), pairs) | identity)
 
     # --- accessors --------------------------------------------------------
 
@@ -206,6 +258,8 @@ class PreferenceModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceModel):
             return NotImplemented
+        if self._worlds == other.worlds:
+            return np.array_equal(self._matrix, other.matrix)
         if _world_mismatch(self, other) is not None:
             return False
         rows = np.array([other.index(i) for i in self.ids])
@@ -221,6 +275,8 @@ class PreferenceModel:
 def _world_mismatch(a: PreferenceModel, b: PreferenceModel) -> str | None:
     """Why ``a`` and ``b`` do not share their worlds with equal valuations,
     or ``None`` when they do."""
+    if a.worlds == b.worlds:
+        return None
     if set(a.ids) != set(b.ids):
         return f"models do not share a world set: {sorted(a.ids)} vs {sorted(b.ids)}"
     for w in a.worlds:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from beliefrev import (
     And,
     Atom,
@@ -92,6 +94,17 @@ def oracle_prec(g: PGraph) -> set[tuple[str, str]]:
     for k in g.node_ids:
         prec |= {(a, d) for a, b in prec if b == k for c, d in prec if c == k}
     return prec
+
+
+def oracle_closure(n: int, pairs) -> np.ndarray:
+    """Transitive closure of index pairs over ``n`` nodes by Warshall's
+    algorithm on boolean rows: after step k, i reaches j through nodes up to k."""
+    mat = np.zeros((n, n), dtype=bool)
+    for a, b in pairs:
+        mat[a, b] = True
+    for k in range(n):
+        mat |= mat[:, k : k + 1] & mat[k]
+    return mat
 
 
 def oracle_induced_pairs(g: PGraph, worlds) -> set[tuple[str, str]]:

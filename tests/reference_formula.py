@@ -1,6 +1,7 @@
 """The recursive formula evaluator and the truth-table sweeps built on it,
 kept as an independent reference for the compiled ones in
-``beliefrev.formula``."""
+``beliefrev.formula``, and the recursive printer, the reference for the
+explicit-stack ``to_text``."""
 
 from __future__ import annotations
 
@@ -17,6 +18,9 @@ from beliefrev.formula import (
     Top,
     Valuation,
     _check_atoms,
+    _prec,
+    _PREC,
+    _SYMBOL,
 )
 
 
@@ -59,3 +63,36 @@ def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
     return all(
         eval_formula(left, v) == eval_formula(right, v) for v in sig.valuations()
     )
+
+
+def to_text(formula: Formula) -> str:
+    """Render with the minimum parentheses that make reparsing reproduce the
+    same tree."""
+    if isinstance(formula, Atom):
+        return formula.name
+    if isinstance(formula, Top):
+        return "T"
+    if isinstance(formula, Bot):
+        return "F"
+    if isinstance(formula, Not):
+        inner = to_text(formula.operand)
+        if _prec(formula.operand) < _PREC[Not]:
+            inner = f"({inner})"
+        return f"~{inner}"
+    own = _prec(formula)
+    left, right = formula.left, formula.right
+    left_text = to_text(left)
+    right_text = to_text(right)
+    if isinstance(formula, (And, Or)):
+        # left associative: parenthesise an equal-level right child
+        if _prec(left) < own:
+            left_text = f"({left_text})"
+        if _prec(right) <= own:
+            right_text = f"({right_text})"
+    else:
+        # right associative: parenthesise an equal-level left child
+        if _prec(left) <= own:
+            left_text = f"({left_text})"
+        if _prec(right) < own:
+            right_text = f"({right_text})"
+    return f"{left_text} {_SYMBOL[type(formula)]} {right_text}"

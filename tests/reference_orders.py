@@ -5,12 +5,17 @@ These are the per-pair ``leq`` loops that ``beliefrev.semantics`` and
 peeled as Kahn layers, the class reduction by a triple loop, minimal worlds
 by a strict-below search, and equality by comparing every pair. They are
 kept unchanged as the reference oracle of ``test_orders_differential.py``;
-the renderers below are the library's, re-pointed at these loops.
+the renderers below are the library's, re-pointed at these loops. The
+closure by repeated squaring, which the depth-first pass replaced, is the
+reference of ``test_closure.py``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from beliefrev import Formula, PreferenceModel, Signature, World
+from beliefrev.semantics import _compose
 
 
 def tie_classes(self: PreferenceModel) -> list[list[str]]:
@@ -136,3 +141,12 @@ def model_to_dot(model: PreferenceModel) -> str:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def transitive_closure(matrix: np.ndarray) -> np.ndarray:
+    closed = matrix.copy()
+    while True:
+        step = closed | _compose(closed, closed)
+        if np.array_equal(step, closed):
+            return closed
+        closed = step

@@ -362,3 +362,11 @@ def test_dot_output(capsys, graph_file):
     code, out, _ = run(capsys, "induce", graph_file, "--dot")
     assert code == 0
     assert out.startswith("digraph preference")
+
+
+def test_prefixing_by_a_2000_term_chain_prints_the_chain(capsys):
+    chain = " & ".join(["p"] * 2000)
+    ties5 = Path(__file__).parent / "data" / "ties5.pg"
+    code, out, err = run(capsys, "revise", str(ties5), "--op", "prefix", "--by", chain)
+    assert (code, err) == (0, "")
+    assert f"node r0: {chain}" in out.splitlines()

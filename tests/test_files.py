@@ -142,3 +142,18 @@ def test_dot_exports_mention_every_node():
     dot_model = model_to_dot(chain_fixture())
     for world_id in ("w_pq", "w_p", "w_q", "w_0"):
         assert world_id in dot_model
+
+
+def test_valuation_errors_keep_their_text_and_order():
+    cases = {
+        "p & zz & p": "line 2: unknown atom 'zz' in valuation",
+        "p & ~p & zz": "line 2: atom 'p' assigned twice",
+        "~r & q": "line 2: valuation does not assign 'p'",
+        "q & p": "line 2: valuation does not assign 'r'",
+    }
+    for literals, message in cases.items():
+        with pytest.raises(FileFormatError) as err:
+            parse_model_file(f"atoms: p q r\nworld w: {literals}\n")
+        assert str(err.value) == message
+    _, model = parse_model_file("atoms: p q r\nworld w: ~r & p & !q\n")
+    assert model.world("w").valuation.bits == (True, False, False)

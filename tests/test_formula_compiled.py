@@ -29,6 +29,7 @@ from beliefrev import (
     equivalent,
     eval_formula,
     parse,
+    to_text,
     worlds_for_signature,
 )
 from beliefrev.files import parse_model_file
@@ -141,3 +142,24 @@ def test_the_memo_is_bounded_and_keyed_by_signature():
         assert eval_formula(f, v) is True
     assert len(_memo) == _MEMO_SIZE
     assert all(entry is f for (entry, _), f in zip(_memo.values(), fresh[-_MEMO_SIZE:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(some_formulas(1))
+def test_to_text_matches_the_recursive_printer(fs):
+    (f,) = fs
+    assert to_text(f) == ref.to_text(f)
+
+
+def test_to_text_renders_any_depth():
+    p, n = Atom("p"), 3000
+    negated, left_and, right_imp, right_and = p, p, p, p
+    right_and_text = "p"
+    for k in range(n):
+        negated, left_and, right_imp = Not(negated), And(left_and, p), Implies(p, right_imp)
+        right_and = And(p, right_and)
+        right_and_text = f"p & ({right_and_text})" if k else "p & p"
+    assert to_text(negated) == "~" * n + "p"
+    assert to_text(left_and) == " & ".join(["p"] * (n + 1))
+    assert to_text(right_imp) == " -> ".join(["p"] * (n + 1))
+    assert to_text(right_and) == right_and_text
