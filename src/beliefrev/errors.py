@@ -72,7 +72,8 @@ class NotRepresentableError(BeliefRevError):
 
 
 class ResourceBoundError(BeliefRevError):
-    """An exhaustive sweep was requested beyond its configured bounds."""
+    """A request exceeds a bound of the package: an exhaustive sweep beyond
+    its configured bounds, or a formula nested too deeply to evaluate."""
 
 
 class FileFormatError(BeliefRevError):

@@ -2,9 +2,11 @@
 
 Entailment and equivalence are decided by an exhaustive truth-table sweep.
 Each formula is compiled once into a short-circuiting function of a
-valuation's bits; runs of & and of | compile flat, and other nesting stops
-near Python's compiler depth (about 900 levels). The concrete syntax is
-plain ASCII so that graph and model files stay hand-writable:
+valuation's bits; runs of & and of | compile flat. Nesting is bounded twice,
+both times as an input error: parsing stops near 490 parenthesis levels
+(FormulaSyntaxError), and evaluation at Python's compiler limit
+(ResourceBoundError). The concrete syntax is plain ASCII so that graph and
+model files stay hand-writable:
 
     ~  !      negation
     &         conjunction
@@ -26,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     FormulaSyntaxError,
+    ResourceBoundError,
     SignatureError,
     SignatureTooLargeError,
     UnknownAtomError,
@@ -252,7 +255,10 @@ def _compile(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
         else:
             raise TypeError(f"not a formula: {f!r}")
     params = ast.arguments([], [ast.arg("b", **_AT)], None, [], [], None, [])
-    code = compile(ast.Expression(ast.Lambda(params, done[0], **_AT)), "<formula>", "eval")
+    try:
+        code = compile(ast.Expression(ast.Lambda(params, done[0], **_AT)), "<formula>", "eval")
+    except RecursionError:
+        raise ResourceBoundError("formula is nested too deeply to evaluate") from None
     return eval(code, {"index": sig.index})
 
 
@@ -312,9 +318,10 @@ def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
 # --- printing ---------------------------------------------------------------
 
 # Higher binds tighter. -> and <-> share a level and associate to the right;
-# & and | associate to the left.
+# & and | (_LEFT) associate to the left. The parser reads the same tables.
 _PREC = {Implies: 1, Iff: 1, Or: 2, And: 3, Not: 4, Atom: 5, Top: 5, Bot: 5}
 _SYMBOL = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+_LEFT = (And, Or)
 
 
 def _prec(f: Formula) -> int:
@@ -345,7 +352,7 @@ def to_text(formula: Formula) -> str:
             stack.extend(_pushed(f.operand, _prec(f.operand) < _PREC[Not]))
         else:
             own = _prec(f)
-            if isinstance(f, (And, Or)):
+            if isinstance(f, _LEFT):
                 # left associative: parenthesise an equal-level right child
                 left_paren, right_paren = _prec(f.left) < own, _prec(f.right) <= own
             else:
@@ -359,112 +366,75 @@ def to_text(formula: Formula) -> str:
 
 # --- parsing ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow><->|->)|(?P<punct>[()~!&|])|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
-)
+# One scanner: an operator or punctuation mark, a word, or (group 3) the first
+# character that is neither. Whitespace matches no group and is skipped.
+_OPERATORS = "|".join(map(re.escape, _SYMBOL.values()))
+_TOKEN_RE = re.compile(rf"({_OPERATORS}|[()~!])|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+_KIND = {symbol: kind for kind, symbol in _SYMBOL.items()}
 
 
 class _Parser:
+    """Precedence climbing (Pratt 1973) over the printer's ``_PREC`` and
+    ``_LEFT``: one method per operand, one per run of binary operators."""
+
     def __init__(self, text: str, sig: Signature):
         self.sig = sig
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                bad_at = pos + (len(text[pos:]) - len(stripped))
-                raise FormulaSyntaxError(
-                    f"unexpected character {stripped[0]!r}", bad_at + 1
-                )
-            token = m.group("arrow") or m.group("punct") or m.group("word")
-            # 1-based position of the token itself (the match may eat spaces)
-            self.tokens.append((token, m.end(0) - len(token) + 1))
-            pos = m.end(0)
+        self.tokens: list[tuple[str, int]] = []  # (text, 1-based position)
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastindex == 3:
+                raise FormulaSyntaxError(f"unexpected character {m[3]!r}", m.start() + 1)
+            self.tokens.append((m[0], m.start() + 1))
         self.tokens.append(("", len(text) + 1))
         self.i = 0
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def pos(self) -> int:
-        return self.tokens[self.i][1]
-
-    def advance(self) -> str:
-        token = self.peek()
-        self.i += 1
-        return token
-
-    def parse(self) -> Formula:
-        f = self.expr()
-        if self.peek():
-            raise FormulaSyntaxError(f"unexpected token {self.peek()!r}", self.pos())
-        return f
-
-    def expr(self) -> Formula:
-        left = self.or_expr()
-        if self.peek() in ("->", "<->"):
-            op = self.advance()
-            right = self.expr()
-            return Implies(left, right) if op == "->" else Iff(left, right)
+    def binary(self, level: int) -> Formula:
+        """An operand followed by the binary operators that bind at ``level``
+        or tighter; a left-associative one takes a tighter right operand."""
+        left = self.unary()
+        while (kind := _KIND.get(self.tokens[self.i][0])) and _PREC[kind] >= level:
+            self.i += 1
+            left = kind(left, self.binary(_PREC[kind] + (kind in _LEFT)))
         return left
 
-    def or_expr(self) -> Formula:
-        out = self.and_expr()
-        while self.peek() == "|":
-            self.advance()
-            out = Or(out, self.and_expr())
-        return out
-
-    def and_expr(self) -> Formula:
-        out = self.unary()
-        while self.peek() == "&":
-            self.advance()
-            out = And(out, self.unary())
-        return out
-
     def unary(self) -> Formula:
-        if self.peek() in ("~", "!"):
-            self.advance()
+        """A negation, a parenthesised formula, a constant or an atom."""
+        token, at = self.tokens[self.i]
+        if not token:  # the end marker is never consumed
+            raise FormulaSyntaxError("unexpected end of input", at)
+        self.i += 1
+        if token in ("~", "!"):
             return Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        token = self.peek()
         if token == "(":
-            self.advance()
-            inner = self.expr()
-            if self.peek() != ")":
-                raise FormulaSyntaxError("expected ')'", self.pos())
-            self.advance()
+            inner = self.binary(0)
+            if self.tokens[self.i][0] != ")":
+                raise FormulaSyntaxError("expected ')'", self.tokens[self.i][1])
+            self.i += 1
             return inner
-        if token == "T":
-            self.advance()
-            return TOP
-        if token == "F":
-            self.advance()
-            return BOT
-        if token and _NAME_RE.fullmatch(token):
+        if token in _RESERVED:
+            return TOP if token == "T" else BOT
+        if _NAME_RE.match(token):
             if token not in self.sig:
                 raise UnknownAtomError(token)
-            self.advance()
             return Atom(token)
-        if not token:
-            raise FormulaSyntaxError("unexpected end of input", self.pos())
-        raise FormulaSyntaxError(f"unexpected token {token!r}", self.pos())
+        raise FormulaSyntaxError(f"unexpected token {token!r}", at)
 
 
 def parse(text: str, sig: Signature) -> Formula:
-    """Parse formula text relative to a signature.
+    """Parse formula text relative to a signature by the precedence and
+    associativity that :func:`to_text` prints with.
 
-    Raises :class:`FormulaSyntaxError` with a character position for
-    malformed or too deeply nested input and :class:`UnknownAtomError` for
-    undeclared atoms.
+    Raises :class:`FormulaSyntaxError` with a 1-based character position for
+    malformed or too deeply nested input (see the module docstring) and
+    :class:`UnknownAtomError` for undeclared atoms.
     """
     parser = _Parser(text, sig)
     try:
-        return parser.parse()
+        formula = parser.binary(0)
     except RecursionError:
-        raise FormulaSyntaxError("formula is nested too deeply", parser.pos()) from None
+        raise FormulaSyntaxError(
+            "formula is nested too deeply", parser.tokens[parser.i][1]
+        ) from None
+    token, at = parser.tokens[parser.i]
+    if token:
+        raise FormulaSyntaxError(f"unexpected token {token!r}", at)
+    return formula

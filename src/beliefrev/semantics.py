@@ -354,7 +354,7 @@ def lex_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     """Lexicographic revision: all satisfying worlds become strictly more
     preferred than all others; order inside each block is untouched."""
     sat = _sat_vector(model.worlds, formula)
-    same_block = (sat[:, None] & sat[None, :]) | (~sat[:, None] & ~sat[None, :])
+    same_block = sat[:, None] == sat
     crossing = sat[:, None] & ~sat[None, :]
     revised = (model.matrix & same_block) | crossing
     return RevisionOutcome(
@@ -367,9 +367,8 @@ def natural_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     promoted, becoming the globally most preferred; the rest keep their
     relative order."""
     min_vec = _minimal(_sat_vector(model.worlds, formula), model.matrix)
-    promoted = np.repeat(min_vec[:, None], len(model.worlds), axis=1)
     kept = model.matrix & ~min_vec[:, None] & ~min_vec[None, :]
-    revised = promoted | kept
+    revised = min_vec[:, None] | kept
     return RevisionOutcome(
         PreferenceModel(model.worlds, revised), "natural", formula
     )

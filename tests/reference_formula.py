@@ -1,11 +1,17 @@
 """The recursive formula evaluator and the truth-table sweeps built on it,
 kept as an independent reference for the compiled ones in
 ``beliefrev.formula``, and the recursive printer, the reference for the
-explicit-stack ``to_text``."""
+explicit-stack ``to_text``, and the recursive-descent parser, the reference
+for the precedence-climbing ``parse``."""
 
 from __future__ import annotations
 
+import re
+
+from beliefrev.errors import FormulaSyntaxError, UnknownAtomError
 from beliefrev.formula import (
+    BOT,
+    TOP,
     And,
     Atom,
     Bot,
@@ -18,6 +24,7 @@ from beliefrev.formula import (
     Top,
     Valuation,
     _check_atoms,
+    _NAME_RE,
     _prec,
     _PREC,
     _SYMBOL,
@@ -96,3 +103,114 @@ def to_text(formula: Formula) -> str:
         if _prec(right) < own:
             right_text = f"({right_text})"
     return f"{left_text} {_SYMBOL[type(formula)]} {right_text}"
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<arrow><->|->)|(?P<punct>[()~!&|])|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
+)
+
+
+class _Parser:
+    def __init__(self, text: str, sig: Signature):
+        self.sig = sig
+        self.tokens: list[tuple[str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                bad_at = pos + (len(text[pos:]) - len(stripped))
+                raise FormulaSyntaxError(
+                    f"unexpected character {stripped[0]!r}", bad_at + 1
+                )
+            token = m.group("arrow") or m.group("punct") or m.group("word")
+            # 1-based position of the token itself (the match may eat spaces)
+            self.tokens.append((token, m.end(0) - len(token) + 1))
+            pos = m.end(0)
+        self.tokens.append(("", len(text) + 1))
+        self.i = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
+
+    def pos(self) -> int:
+        return self.tokens[self.i][1]
+
+    def advance(self) -> str:
+        token = self.peek()
+        self.i += 1
+        return token
+
+    def parse(self) -> Formula:
+        f = self.expr()
+        if self.peek():
+            raise FormulaSyntaxError(f"unexpected token {self.peek()!r}", self.pos())
+        return f
+
+    def expr(self) -> Formula:
+        left = self.or_expr()
+        if self.peek() in ("->", "<->"):
+            op = self.advance()
+            right = self.expr()
+            return Implies(left, right) if op == "->" else Iff(left, right)
+        return left
+
+    def or_expr(self) -> Formula:
+        out = self.and_expr()
+        while self.peek() == "|":
+            self.advance()
+            out = Or(out, self.and_expr())
+        return out
+
+    def and_expr(self) -> Formula:
+        out = self.unary()
+        while self.peek() == "&":
+            self.advance()
+            out = And(out, self.unary())
+        return out
+
+    def unary(self) -> Formula:
+        if self.peek() in ("~", "!"):
+            self.advance()
+            return Not(self.unary())
+        return self.primary()
+
+    def primary(self) -> Formula:
+        token = self.peek()
+        if token == "(":
+            self.advance()
+            inner = self.expr()
+            if self.peek() != ")":
+                raise FormulaSyntaxError("expected ')'", self.pos())
+            self.advance()
+            return inner
+        if token == "T":
+            self.advance()
+            return TOP
+        if token == "F":
+            self.advance()
+            return BOT
+        if token and _NAME_RE.fullmatch(token):
+            if token not in self.sig:
+                raise UnknownAtomError(token)
+            self.advance()
+            return Atom(token)
+        if not token:
+            raise FormulaSyntaxError("unexpected end of input", self.pos())
+        raise FormulaSyntaxError(f"unexpected token {token!r}", self.pos())
+
+
+def parse(text: str, sig: Signature) -> Formula:
+    """Parse formula text relative to a signature.
+
+    Raises :class:`FormulaSyntaxError` with a character position for
+    malformed or too deeply nested input and :class:`UnknownAtomError` for
+    undeclared atoms.
+    """
+    parser = _Parser(text, sig)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise FormulaSyntaxError("formula is nested too deeply", parser.pos()) from None

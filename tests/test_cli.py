@@ -168,6 +168,29 @@ def test_deeply_nested_formulas_are_input_errors(capsys, tmp_path, model_file):
     assert err.startswith("error: line 2: formula is nested too deeply")
 
 
+def test_negation_chains_across_the_parse_limit_are_answered_or_refused(
+    capsys, tmp_path, model_file
+):
+    """Between the depth the parser takes and the depth the compiler takes,
+    evaluation must refuse the formula as an input error, not crash."""
+    graph = tmp_path / "deep.pg"
+    limit = sys.getrecursionlimit()
+    codes = set()
+    for n in range(limit - 70, limit + 2):
+        chain = "~" * n + "p"
+        graph.write_text(f"atoms: p q\nnode a: {chain}\n")
+        for argv in (
+            ["induce", str(graph)],
+            ["equiv", str(graph), str(graph)],
+            ["revise", model_file, "--op", "lex", "--by", chain],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 2)
+            assert code == 0 or err.startswith("error: ")
+            codes.add(code)
+    assert codes == {0, 2}
+
+
 def test_revise_graph_by_prefixing(capsys, graph_file):
     code, out, _ = run(capsys, "revise", graph_file, "--op", "prefix", "--by", "~p")
     assert code == 0

@@ -18,6 +18,7 @@ from beliefrev import (
     TOP,
     And,
     Atom,
+    BeliefRevError,
     Iff,
     Implies,
     Not,
@@ -163,3 +164,11 @@ def test_to_text_renders_any_depth():
     assert to_text(left_and) == " & ".join(["p"] * (n + 1))
     assert to_text(right_imp) == " -> ".join(["p"] * (n + 1))
     assert to_text(right_and) == right_and_text
+
+
+def test_a_formula_too_deep_to_compile_is_an_input_error():
+    f = Atom("p")
+    for _ in range(3000):
+        f = Not(f)
+    with pytest.raises(BeliefRevError, match="nested too deeply to evaluate"):
+        entails(f, f, SIG_PQ)
