@@ -136,6 +136,8 @@ def _cmd_check(args) -> int:
         unknown = [n for n in names if n not in SEMANTIC_CHECKS]
         if unknown:
             raise BeliefRevError(f"unknown postulate {unknown[0]!r}")
+        if not names:
+            raise BeliefRevError("no postulates selected")
     reports = [SEMANTIC_CHECKS[name](before, by, after) for name in names]
     if args.json:
         print(

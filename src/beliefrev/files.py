@@ -95,16 +95,16 @@ def parse_graph_file(text: str) -> tuple[Signature, PGraph]:
 
 
 def _parse_literal_conjunction(
-    text: str, sig: Signature, line: int
+    text: str, sig: Signature, slots: dict[str, int], line: int
 ) -> Valuation:
-    bits: list[bool | None] = [None] * len(sig.atoms)
+    bits: list[bool | None] = [None] * len(slots)
     for chunk in text.split("&"):
         literal = chunk.strip()
         negated = literal.startswith(("~", "!"))
         name = literal[1:].strip() if negated else literal
-        if name not in sig.atoms:
+        slot = slots.get(name)
+        if slot is None:
             raise FileFormatError(f"unknown atom {name!r} in valuation", line)
-        slot = sig.atoms.index(name)
         if bits[slot] is not None:
             raise FileFormatError(f"atom {name!r} assigned twice", line)
         bits[slot] = not negated
@@ -118,6 +118,7 @@ def parse_model_file(text: str) -> tuple[Signature, PreferenceModel]:
     and generator order edges, closed reflexively and transitively."""
     lines = _content_lines(text)
     sig = _parse_header(lines)
+    slots = {atom: i for i, atom in enumerate(sig.atoms)}
     worlds: dict[str, World] = {}
     edges: list[tuple[str, str]] = []
     for number, line in lines[1:]:
@@ -126,7 +127,8 @@ def parse_model_file(text: str) -> tuple[Signature, PreferenceModel]:
             name, literals = world.groups()
             if name in worlds:
                 raise FileFormatError(f"duplicate world {name!r}", number)
-            worlds[name] = World(name, _parse_literal_conjunction(literals, sig, number))
+            valuation = _parse_literal_conjunction(literals, sig, slots, number)
+            worlds[name] = World(name, valuation)
             continue
         edge = _MODEL_EDGE_RE.fullmatch(line)
         if edge:

@@ -103,7 +103,8 @@ def _pair_check(
     name: str, before: PreferenceModel, by: Formula, after: PreferenceModel
 ) -> PostulateReport:
     ids, s, b, a = _aligned(before, by, after)
-    bad = tuple((ids[i], ids[j]) for i, j in np.argwhere(_MASKS[name](s, b, a)))
+    rows, cols = np.nonzero(_MASKS[name](s, b, a))
+    bad = tuple((ids[i], ids[j]) for i, j in zip(rows.tolist(), cols.tolist()))
     return PostulateReport(name, not bad, bad)
 
 

@@ -8,9 +8,14 @@ from transitivity and so is not checked separately: a strict cycle would
 make the successor of its first step at least as preferred as its start.
 The relation is stored as a dense boolean matrix so pairwise queries during
 postulate sweeps are O(1). Closing generator edges is one depth-first pass,
-:func:`transitive_closure`, with one row OR per edge; every other relation
-question is answered with boolean masks and the one exact relation product
-``_compose``.
+:func:`transitive_closure`, with one row OR per edge. Total orders, which
+chain graphs induce and lexicographic revision keeps total, need no cubic
+work: a total preorder is accepted by comparing it with the order of its
+up-set sizes, and its class order is read off the classes' predecessor
+counts.
+Every other relation question is answered with boolean masks and the one
+exact relation product ``_compose``, which only partial orders, and the
+witness of a relation that is not transitive, still reach.
 """
 
 from __future__ import annotations
@@ -145,7 +150,10 @@ class PreferenceModel:
     """Worlds plus a reflexive transitive ``leq`` with acyclic strict part.
 
     Immutable once constructed; the relation matrix rows and columns follow
-    the order in which worlds were supplied.
+    the order in which worlds were supplied. Construction proves
+    transitivity: in O(n^2) for a total preorder, which is the order of its
+    up-set sizes, and by one relation product otherwise, whose first
+    missing pair names the error.
     """
 
     def __init__(self, worlds: Sequence[World], matrix: np.ndarray):
@@ -169,12 +177,17 @@ class PreferenceModel:
         if not mat.diagonal().all():
             bad = ids[int(np.argmin(mat.diagonal()))]
             raise ModelInvariantError(f"relation is not reflexive at {bad!r}")
-        missing = _compose(mat, mat) & ~mat
-        if missing.any():
-            a, b = (int(x) for x in np.argwhere(missing)[0])
-            raise ModelInvariantError(
-                f"relation is not transitive: {ids[a]!r} <= {ids[b]!r} is implied but absent"
-            )
+        # A reflexive relation is a total preorder exactly when it is the
+        # order of its up-set sizes, and then it is transitive; any other
+        # relation is decided, and its witness named, by the product.
+        up = mat.sum(1)
+        if not (mat == (up[:, None] >= up)).all():
+            missing = _compose(mat, mat) & ~mat
+            if missing.any():
+                a, b = (int(x) for x in np.argwhere(missing)[0])
+                raise ModelInvariantError(
+                    f"relation is not transitive: {ids[a]!r} <= {ids[b]!r} is implied but absent"
+                )
 
         mat.setflags(write=False)
         self._worlds = worlds
@@ -285,26 +298,42 @@ def _world_mismatch(a: PreferenceModel, b: PreferenceModel) -> str | None:
     return None
 
 
-def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray]:
+def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray | None]:
     """Tie classes in preference order, and the strict order between them.
 
     Classes are sorted by layer, then by the id of their representative,
     the class's first world in world order; ids inside a class keep world
     order. Entry ``[a, b]`` of the matrix says class ``a`` is strictly more
-    preferred than class ``b``, read off the representatives.
+    preferred than class ``b``, read off the representatives. The matrix is
+    ``None`` when the class order is total: each class is then strictly
+    more preferred than every later one.
     """
     ids = model.ids
-    tied = model.matrix & model.matrix.T
-    reps = np.flatnonzero(tied.argmax(1) == np.arange(len(ids)))
-    below = _strict(model.matrix[reps[:, None], reps])
+    mat = model.matrix
+    rep = (mat & mat.T).argmax(1)
+    reps = np.flatnonzero(rep == np.arange(len(ids)))
+    # One stable sort lists the worlds class by class, in representative
+    # order, each class in world order.
+    members = [ids[i] for i in np.argsort(rep, kind="stable").tolist()]
+    ends = np.cumsum(np.bincount(rep)[reps]).tolist()
+    groups = [members[a:b] for a, b in zip([0] + ends, ends)]
+    # Two representatives are never tied, so off the diagonal their
+    # relation is the strict one.
+    below = mat[reps[:, None], reps]
+    np.fill_diagonal(below, False)
+    preds = below.sum(axis=0)
+    c = len(reps)
+    if preds.sum() == c * (c - 1) // 2:
+        # Every pair of classes is ordered, so the predecessor counts are
+        # 0..c-1, and they are the layers.
+        return [groups[k] for k in np.argsort(preds).tolist()], None
     # A class's layer is the longest strict chain below it. Ordering by
     # predecessor count is topological, as the strict part is transitive.
-    layer = np.zeros(len(reps), dtype=np.int64)
-    for c in np.argsort(below.sum(axis=0)):
-        layer[c] = layer[below[:, c]].max(initial=-1) + 1
-    order = np.array(sorted(range(len(reps)), key=lambda c: (layer[c], ids[reps[c]])))
-    classes = [[ids[i] for i in np.flatnonzero(tied[reps[c]])] for c in order]
-    return classes, below[order[:, None], order]
+    layer = np.zeros(c, dtype=np.int64)
+    for k in np.argsort(preds):
+        layer[k] = layer[below[:, k]].max(initial=-1) + 1
+    order = np.array(sorted(range(c), key=lambda k: (layer[k], ids[reps[k]])))
+    return [groups[k] for k in order], below[order[:, None], order]
 
 
 def _describe(classes: list[list[str]]) -> str:
@@ -319,7 +348,9 @@ def _generators(
 ) -> tuple[list[list[str]], list[tuple[str, str]]]:
     """Tie classes, plus generator edges whose reflexive transitive closure
     is the relation: a cycle through each tie class, then the transitive
-    reduction of the class order between representatives, sorted."""
+    reduction of the class order between representatives, sorted. A total
+    class order is reduced to its consecutive pairs; only a partial one
+    needs the product."""
     classes, below = _class_order(model)
     edges = [
         edge
@@ -328,9 +359,12 @@ def _generators(
         for edge in zip(group, group[1:] + group[:1])
     ]
     reps = [group[0] for group in classes]
-    cover = below & ~_compose(below, below)
-    edges += sorted((reps[a], reps[b]) for a, b in np.argwhere(cover))
-    return classes, edges
+    if below is None:
+        cover = list(zip(reps, reps[1:]))
+    else:
+        rows, cols = np.nonzero(below & ~_compose(below, below))
+        cover = [(reps[a], reps[b]) for a, b in zip(rows.tolist(), cols.tolist())]
+    return classes, edges + sorted(cover)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,17 +5,28 @@ These are the per-pair ``leq`` loops that ``beliefrev.semantics`` and
 peeled as Kahn layers, the class reduction by a triple loop, minimal worlds
 by a strict-below search, and equality by comparing every pair. They are
 kept unchanged as the reference oracle of ``test_orders_differential.py``;
-the renderers below are the library's, re-pointed at these loops. The
-closure by repeated squaring, which the depth-first pass replaced, is the
-reference of ``test_closure.py``.
+the renderers below are the library's, re-pointed at these loops. So is
+the transitivity check by one relation product, which the up-set count
+test replaced for total preorders. The closure by repeated squaring, which
+the depth-first pass replaced, is the reference of ``test_closure.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from beliefrev import Formula, PreferenceModel, Signature, World
+from beliefrev import Formula, ModelInvariantError, PreferenceModel, Signature, World
 from beliefrev.semantics import _compose
+
+
+def check_transitive(ids: list[str], mat: np.ndarray) -> None:
+    """Raise the model's error for the first implied pair ``mat`` lacks."""
+    missing = _compose(mat, mat) & ~mat
+    if missing.any():
+        a, b = (int(x) for x in np.argwhere(missing)[0])
+        raise ModelInvariantError(
+            f"relation is not transitive: {ids[a]!r} <= {ids[b]!r} is implied but absent"
+        )
 
 
 def tie_classes(self: PreferenceModel) -> list[list[str]]:

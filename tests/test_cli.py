@@ -92,6 +92,31 @@ def test_induce_matches_the_golden_dump(capsys, name, flag):
         assert out == (data / f"{name}.{suffix}").read_text(encoding="utf-8")
 
 
+# Run in a fresh interpreter so that ``ru_maxrss`` is this dump's peak alone.
+INDUCE_PEAK_PROBE = """\
+import contextlib, hashlib, io, resource, sys
+from beliefrev.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["induce", sys.argv[1]])
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), peak_mb)
+"""
+
+
+def test_induce_at_the_12_atom_bound_keeps_its_dump_within_200_mb():
+    path = Path(__file__).parent / "data" / "chain12.pg"
+    src = str(Path(beliefrev.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", INDUCE_PEAK_PROBE, str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    code, digest, peak_mb = done.stdout.split()
+    assert code == "0"
+    assert digest == "1ad6c33dd74576c955ef580947f1ec0974136f726fde9b39a4b4158c82c3109f"
+    assert float(peak_mb) <= 200
+
+
 def test_induce_json(capsys, graph_file):
     code, out, _ = run(capsys, "induce", graph_file, "--json")
     assert code == 0
@@ -287,6 +312,21 @@ def test_check_unknown_postulate(capsys, model_file):
     )
     assert code == 2
     assert "dp9" in err
+
+
+@pytest.mark.parametrize("selection", ["", " , "])
+def test_check_with_no_postulates_selected_is_an_input_error(capsys, model_file, selection):
+    code, out, err = run(
+        capsys,
+        "check",
+        "--before", model_file,
+        "--after", model_file,
+        "--by", "p",
+        "--postulates", selection,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: no postulates selected\n"
 
 
 # --- equiv --------------------------------------------------------------------

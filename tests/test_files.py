@@ -157,3 +157,18 @@ def test_valuation_errors_keep_their_text_and_order():
         assert str(err.value) == message
     _, model = parse_model_file("atoms: p q r\nworld w: ~r & p & !q\n")
     assert model.world("w").valuation.bits == (True, False, False)
+
+
+def test_world_line_spellings_parse_to_the_same_valuations():
+    cases = {
+        "world w: p & ~q & r": (True, False, True),
+        "world w: ~ p & q & ~ r": (False, True, False),
+        "world w: !p & !q & r": (False, False, True),
+        "world w: ! p&q&!r": (False, True, False),
+        "world\tw\t:\tr\t&\t~q\t&\tp": (True, False, True),
+        "world w: r & ~ q & !p": (False, False, True),
+        "world w:q&p&~r": (True, True, False),
+    }
+    for line, bits in cases.items():
+        _, model = parse_model_file(f"atoms: p q r\n{line}\n")
+        assert model.world("w").valuation.bits == bits, line

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import reference_orders as reference
 from beliefrev import BOT, TOP, PreferenceModel, Valuation, World, enumerate_preorders, min_worlds
+from beliefrev import ModelInvariantError
 from beliefrev.files import dump_model, model_to_dot
 from helpers import SIG_PQ, canonical_pq, pool
 
@@ -64,3 +65,82 @@ def preorders(draw):
 def test_random_preorders_match_the_loop_reference(model, other):
     assert_same_queries(model, reversed_copy(model))
     assert_same_queries(model, other)
+
+
+# --- transitivity: the up-set count test against the product --------------------
+
+
+@st.composite
+def reflexive_relations(draw):
+    """A reflexive relation on 1-12 worlds of one of three kinds. Each
+    starts closed: a total preorder from ranks, or the closure of random
+    pairs. A "cycle" relation is then completed and given a strict
+    3-cycle; an "arbitrary" one has up to n * n cells flipped, the
+    diagonal kept, so that it is often one cell away from a closed one."""
+    kind = draw(st.sampled_from(("closed", "cycle", "arbitrary")))
+    n = draw(st.integers(3 if kind == "cycle" else 1, 12))
+    index = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        rank = np.array(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
+        mat = rank[:, None] <= rank
+    else:
+        mat = np.eye(n, dtype=bool)
+        for a, b in draw(st.lists(st.tuples(index, index), max_size=2 * n)):
+            mat[a, b] = True
+        for k in range(n):  # Warshall's closure
+            mat |= mat[:, k : k + 1] & mat[k]
+    if kind == "cycle":
+        mat |= ~mat.T
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        for x, y in ((a, b), (b, c), (c, a)):
+            mat[x, y], mat[y, x] = True, False
+    elif kind == "arbitrary":
+        for a, b in draw(st.lists(st.tuples(index, index), min_size=1, max_size=n * n)):
+            mat[a, b] = a == b or not mat[a, b]
+    ids = [f"w{k}" for k in draw(st.permutations(range(n)))]
+    return ids, mat
+
+
+def error_text(build):
+    try:
+        build()
+    except ModelInvariantError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflexive_relations())
+def test_transitivity_matches_the_product_check(relation):
+    ids, mat = relation
+    worlds = [World(i, Valuation(SIG_PQ, (True, True))) for i in ids]
+    expected = error_text(lambda: reference.check_transitive(ids, mat))
+    assert error_text(lambda: PreferenceModel(worlds, mat)) == expected
+
+
+# --- large total preorders ---------------------------------------------------------
+
+
+@st.composite
+def large_total_preorders(draw):
+    """A total preorder on 13-300 worlds: runs of tied worlds laid out in a
+    shuffled world order, under shuffled ids."""
+    n = draw(st.integers(13, 300))
+    classes = draw(st.integers(1, n))
+    rng = draw(st.randoms(use_true_random=False))
+    rank = np.zeros(n, dtype=np.int64)
+    for cut in rng.sample(range(1, n), classes - 1):
+        rank[cut:] += 1
+    rng.shuffle(rank)
+    ids = [f"w{k}" for k in rng.sample(range(n), n)]
+    worlds = [World(i, rng.choice(canonical_pq()).valuation) for i in ids]
+    return PreferenceModel(worlds, rank[:, None] <= rank)
+
+
+@settings(max_examples=6, deadline=None)
+@given(large_total_preorders())
+def test_large_total_preorders_match_the_loop_reference(model):
+    assert model.tie_classes() == reference.tie_classes(model)
+    assert model.describe_order() == reference.describe_order(model)
+    assert dump_model(SIG_PQ, model) == reference.dump_model(SIG_PQ, model)
+    assert model_to_dot(model) == reference.model_to_dot(model)
