@@ -26,7 +26,7 @@ from .files import (
 from .formula import Signature, parse, to_text
 from .harness import demo_fact_cb, demo_fact_min, sweep_harmony
 from .pgraph import PGraph, canonical_model, graphs_equivalent
-from .postulates import SEMANTIC_CHECKS
+from .postulates import SEMANTIC_CHECKS, postulates
 from .semantics import PreferenceModel, lex_revise, natural_revise, null_change
 from .transforms import null_transform, prefix
 
@@ -138,7 +138,7 @@ def _cmd_check(args) -> int:
             raise BeliefRevError(f"unknown postulate {unknown[0]!r}")
         if not names:
             raise BeliefRevError("no postulates selected")
-    reports = [SEMANTIC_CHECKS[name](before, by, after) for name in names]
+    reports = postulates(before, by, after, names)
     if args.json:
         print(
             json.dumps(

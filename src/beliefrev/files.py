@@ -34,9 +34,9 @@ from .semantics import PreferenceModel, World, _describe, _generators
 
 _ATOMS_RE = re.compile(r"atoms\s*:\s*(.*)")
 _NODE_RE = re.compile(r"node\s+(\w+)\s*:\s*(.+)")
-_WORLD_RE = re.compile(r"world\s+(\w+)\s*:\s*(.+)")
 _GRAPH_EDGE_RE = re.compile(r"(\w+)\s*<\s*(\w+)")
-_MODEL_EDGE_RE = re.compile(r"(\w+)\s*<=\s*(\w+)")
+# A world line, or failing that an order line.
+_MODEL_LINE_RE = re.compile(r"world\s+(\w+)\s*:\s*(.+)|(\w+)\s*<=\s*(\w+)")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -94,51 +94,59 @@ def parse_graph_file(text: str) -> tuple[Signature, PGraph]:
     return sig, PGraph(labels, edges)
 
 
-def _parse_literal_conjunction(
-    text: str, sig: Signature, slots: dict[str, int], line: int
-) -> Valuation:
-    bits: list[bool | None] = [None] * len(slots)
-    for chunk in text.split("&"):
-        literal = chunk.strip()
-        negated = literal.startswith(("~", "!"))
-        name = literal[1:].strip() if negated else literal
-        slot = slots.get(name)
-        if slot is None:
-            raise FileFormatError(f"unknown atom {name!r} in valuation", line)
-        if bits[slot] is not None:
-            raise FileFormatError(f"atom {name!r} assigned twice", line)
-        bits[slot] = not negated
-    if None in bits:
-        raise FileFormatError(f"valuation does not assign {sig.atoms[bits.index(None)]!r}", line)
-    return Valuation(sig, tuple(bits))
+def _literal(chunk: str, slots: dict[str, int], line: int) -> tuple[int, bool]:
+    """The (slot, value) one literal of a valuation line spells."""
+    literal = chunk.strip()
+    negated = literal.startswith(("~", "!"))
+    name = literal[1:].strip() if negated else literal
+    slot = slots.get(name)
+    if slot is None:
+        raise FileFormatError(f"unknown atom {name!r} in valuation", line)
+    return slot, not negated
 
 
 def parse_model_file(text: str) -> tuple[Signature, PreferenceModel]:
     """Parse model text: worlds with total literal-conjunction valuations
-    and generator order edges, closed reflexively and transitively."""
+    and generator order edges, closed reflexively and transitively.
+
+    Each literal spelling is resolved once per file, and each distinct
+    conjunction text builds one shared :class:`Valuation`."""
     lines = _content_lines(text)
     sig = _parse_header(lines)
     slots = {atom: i for i, atom in enumerate(sig.atoms)}
+    literals: dict[str, tuple[int, bool]] = {}
+    valuations: dict[str, Valuation] = {}
     worlds: dict[str, World] = {}
     edges: list[tuple[str, str]] = []
     for number, line in lines[1:]:
-        world = _WORLD_RE.fullmatch(line)
-        if world:
-            name, literals = world.groups()
-            if name in worlds:
-                raise FileFormatError(f"duplicate world {name!r}", number)
-            valuation = _parse_literal_conjunction(literals, sig, slots, number)
-            worlds[name] = World(name, valuation)
-            continue
-        edge = _MODEL_EDGE_RE.fullmatch(line)
-        if edge:
-            a, b = edge.groups()
+        match = _MODEL_LINE_RE.fullmatch(line)
+        if match is None:
+            raise FileFormatError(f"cannot parse model line: {line!r}", number)
+        name, conjunction, a, b = match.groups()
+        if name is None:
             for end in (a, b):
                 if end not in worlds:
                     raise FileFormatError(f"unknown world {end!r} in order line", number)
             edges.append((a, b))
             continue
-        raise FileFormatError(f"cannot parse model line: {line!r}", number)
+        if name in worlds:
+            raise FileFormatError(f"duplicate world {name!r}", number)
+        valuation = valuations.get(conjunction)
+        if valuation is None:
+            bits: list[bool | None] = [None] * len(slots)
+            for chunk in conjunction.split("&"):
+                literal = literals.get(chunk)
+                if literal is None:
+                    literal = literals[chunk] = _literal(chunk, slots, number)
+                slot, value = literal
+                if bits[slot] is not None:
+                    raise FileFormatError(f"atom {sig.atoms[slot]!r} assigned twice", number)
+                bits[slot] = value
+            if None in bits:
+                missing = sig.atoms[bits.index(None)]
+                raise FileFormatError(f"valuation does not assign {missing!r}", number)
+            valuation = valuations[conjunction] = Valuation(sig, tuple(bits))
+        worlds[name] = World(name, valuation)
     if not worlds:
         raise FileFormatError("model file declares no worlds", len(text.splitlines()))
     model = PreferenceModel.from_edges(tuple(worlds.values()), edges)

@@ -24,6 +24,7 @@ transformed labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -71,8 +72,9 @@ class ConditionReport:
 #
 # Every checker reads three arrays indexed in sorted world-id order: ``s``
 # marks the worlds satisfying the revision formula, ``b`` and ``a`` are the
-# relations before and after. A pair postulate is a mask over (w, w') whose
-# set cells, in row-major order, are its witnesses.
+# relations before and after. A postulate is a mask whose set cells, in
+# row-major order, are its witnesses: world pairs, or single worlds for
+# faithfulness, which holds outright when no world satisfies the formula.
 
 
 _MASKS = {
@@ -82,83 +84,82 @@ _MASKS = {
     "dp4": lambda s, b, a: s[:, None] & ~s & b & ~a,
     "rec": lambda s, b, a: s[:, None] & ~s & ~_strict(a),
     "ind": lambda s, b, a: s[:, None] & ~s & b & ~_strict(a),
+    "faith": lambda s, b, a: (_minimal(s, b) != _minimal(np.ones_like(s), a)) & s.any(),
     "cb": lambda s, b, a: ~_minimal(s, b)[:, None] & ~_minimal(s, b) & (b != a),
 }
 
 
-def _aligned(before: PreferenceModel, by: Formula, after: PreferenceModel):
-    """Sorted shared world ids, the satisfaction vector, and the relations
-    before and after, all in that order."""
+def postulates(
+    before: PreferenceModel, by: Formula, after: PreferenceModel,
+    names: Sequence[str] = tuple(_MASKS),
+) -> list[PostulateReport]:
+    """One report per name in ``names``, all of ``SEMANTIC_CHECKS`` by
+    default, from one alignment of the two models; a repeated name repeats
+    its report. Raises :class:`WorldSetMismatchError` when the models do
+    not share their worlds with equal valuations."""
     reason = _world_mismatch(before, after)
     if reason is not None:
         raise WorldSetMismatchError(reason)
     ids = sorted(before.ids)
     b_rows = np.array([before.index(i) for i in ids])
     a_rows = np.array([after.index(i) for i in ids])
-    sat = _sat_vector(before.worlds, by)[b_rows]
-    return ids, sat, before.matrix[b_rows[:, None], b_rows], after.matrix[a_rows[:, None], a_rows]
-
-
-def _pair_check(
-    name: str, before: PreferenceModel, by: Formula, after: PreferenceModel
-) -> PostulateReport:
-    ids, s, b, a = _aligned(before, by, after)
-    rows, cols = np.nonzero(_MASKS[name](s, b, a))
-    bad = tuple((ids[i], ids[j]) for i, j in zip(rows.tolist(), cols.tolist()))
-    return PostulateReport(name, not bad, bad)
+    s = _sat_vector(before.worlds, by)[b_rows]
+    b = before.matrix.take(b_rows, 0).take(b_rows, 1)
+    a = after.matrix.take(a_rows, 0).take(a_rows, 1)
+    reports = {}
+    for name in dict.fromkeys(names):
+        cells = [[ids[k] for k in axis.tolist()] for axis in np.nonzero(_MASKS[name](s, b, a))]
+        bad = tuple(zip(*cells))
+        reports[name] = PostulateReport(name, not bad, bad)
+    return [reports[name] for name in names]
 
 
 def check_dp1(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Inside the revision formula the order is untouched: for satisfying
     w, w' the revised order agrees with the original, both ways."""
-    return _pair_check("dp1", before, by, after)
+    return postulates(before, by, after, ("dp1",))[0]
 
 
 def check_dp2(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Outside the revision formula the order is untouched."""
-    return _pair_check("dp2", before, by, after)
+    return postulates(before, by, after, ("dp2",))[0]
 
 
 def check_dp3(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """A satisfying world strictly preferred to a non-satisfying one stays
     strictly preferred."""
-    return _pair_check("dp3", before, by, after)
+    return postulates(before, by, after, ("dp3",))[0]
 
 
 def check_dp4(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """A satisfying world weakly preferred to a non-satisfying one stays
     weakly preferred."""
-    return _pair_check("dp4", before, by, after)
+    return postulates(before, by, after, ("dp4",))[0]
 
 
 def check_rec(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Recalcitrance: after revising, every satisfying world is strictly
     preferred to every non-satisfying world."""
-    return _pair_check("rec", before, by, after)
+    return postulates(before, by, after, ("rec",))[0]
 
 
 def check_ind(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Independence: weak preference of a satisfying world over a
     non-satisfying one becomes strict."""
-    return _pair_check("ind", before, by, after)
+    return postulates(before, by, after, ("ind",))[0]
 
 
 def check_faith(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Faithfulness: when the formula is satisfiable in the model, its most
     preferred worlds before revision are exactly the globally most
     preferred worlds afterwards."""
-    ids, s, b, a = _aligned(before, by, after)
-    if not s.any():
-        return PostulateReport("faith", True)
-    differ = _minimal(s, b) != _minimal(np.ones_like(s), a)
-    bad = tuple((ids[i],) for i in np.flatnonzero(differ))
-    return PostulateReport("faith", not bad, bad)
+    return postulates(before, by, after, ("faith",))[0]
 
 
 def check_cb(before: PreferenceModel, by: Formula, after: PreferenceModel) -> PostulateReport:
     """Conditional-belief conservation: among worlds outside the most
     preferred satisfying set, the order is untouched, both ways."""
-    return _pair_check("cb", before, by, after)
+    return postulates(before, by, after, ("cb",))[0]
 
 
 SEMANTIC_CHECKS = {

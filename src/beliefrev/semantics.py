@@ -8,14 +8,29 @@ from transitivity and so is not checked separately: a strict cycle would
 make the successor of its first step at least as preferred as its start.
 The relation is stored as a dense boolean matrix so pairwise queries during
 postulate sweeps are O(1). Closing generator edges is one depth-first pass,
-:func:`transitive_closure`, with one row OR per edge. Total orders, which
-chain graphs induce and lexicographic revision keeps total, need no cubic
-work: a total preorder is accepted by comparing it with the order of its
-up-set sizes, and its class order is read off the classes' predecessor
-counts.
+:func:`transitive_closure`, with one row OR per edge.
+
+Proving transitivity takes quadratic work plus one product over the tie
+classes. A total preorder, which chain graphs induce and lexicographic
+revision keeps total, is accepted by comparing it with the order of its
+up-set sizes, and its tie classes are the runs of equal sizes. Any other
+reflexive relation M is decided on its quotient. Let r map each world to
+the first world tied to it (``T = M & M.T``) and Q be M restricted to the
+image of r. Then M is transitive iff it is constant on r's blocks,
+``M[i, j] == M[r(i), r(j)]``, and Q is transitive:
+
+- if M is transitive, T is an equivalence, tied worlds share their rows
+  and columns, and a restriction of a transitive relation is transitive;
+- if both hold, ``M[i, j]`` and ``M[j, k]`` give ``Q[r(i), r(j)]`` and
+  ``Q[r(j), r(k)]``, hence ``Q[r(i), r(k)]``, which is ``M[i, k]``.
+
+Block constancy is checked as equal rows, ``M[r] == M``, and equal columns
+on the rows of r's image: ``M[i, j] == M[r(i), j] == M[r(i), r(j)]``.
+
 Every other relation question is answered with boolean masks and the one
-exact relation product ``_compose``, which only partial orders, and the
-witness of a relation that is not transitive, still reach.
+exact relation product ``_compose``. It runs on the quotient, on the class
+order of a partial preorder, and over all worlds only to name the witness
+of a relation already shown not to be transitive.
 """
 
 from __future__ import annotations
@@ -151,9 +166,15 @@ class PreferenceModel:
 
     Immutable once constructed; the relation matrix rows and columns follow
     the order in which worlds were supplied. Construction proves
-    transitivity: in O(n^2) for a total preorder, which is the order of its
-    up-set sizes, and by one relation product otherwise, whose first
-    missing pair names the error.
+    transitivity in O(n^2) plus one product over the C tie classes. A total
+    preorder is the order of its up-set sizes. Any other relation is
+    transitive iff it is constant on the blocks of its representative map
+    r (each world's first tied world) and its C x C quotient over r's image
+    is transitive. Both follow from transitivity; conversely a chain
+    ``i <= j <= k`` maps to ``r(i) <= r(j) <= r(k)`` in the quotient, whose
+    closing pair ``r(i) <= r(k)`` block constancy carries back to
+    ``i <= k``. Only a relation shown not transitive pays the n x n
+    product, whose first missing pair names the error.
     """
 
     def __init__(self, worlds: Sequence[World], matrix: np.ndarray):
@@ -178,12 +199,25 @@ class PreferenceModel:
             bad = ids[int(np.argmin(mat.diagonal()))]
             raise ModelInvariantError(f"relation is not reflexive at {bad!r}")
         # A reflexive relation is a total preorder exactly when it is the
-        # order of its up-set sizes, and then it is transitive; any other
-        # relation is decided, and its witness named, by the product.
+        # order of its up-set sizes, and then it is transitive. Any other
+        # relation is decided on its quotient over the representative map.
         up = mat.sum(1)
+        rep = reps = None
         if not (mat == (up[:, None] >= up)).all():
-            missing = _compose(mat, mat) & ~mat
-            if missing.any():
+            tie = mat & mat.T
+            if np.count_nonzero(tie) == n:
+                # No two worlds tie: r is the identity, the quotient is M.
+                rep = reps = np.arange(n)
+                quotient = mat
+            else:
+                rep = tie.argmax(1)
+                reps = np.flatnonzero(np.bincount(rep, minlength=n))
+                rows = mat[reps]
+                quotient = None
+                if (mat[rep] == mat).all() and (rows[:, rep] == rows).all():
+                    quotient = rows[:, reps]
+            if quotient is None or (_compose(quotient, quotient) & ~quotient).any():
+                missing = _compose(mat, mat) & ~mat
                 a, b = (int(x) for x in np.argwhere(missing)[0])
                 raise ModelInvariantError(
                     f"relation is not transitive: {ids[a]!r} <= {ids[b]!r} is implied but absent"
@@ -193,6 +227,10 @@ class PreferenceModel:
         self._worlds = worlds
         self._matrix = mat
         self._index = {w.id: i for i, w in enumerate(worlds)}
+        # What the proof found, for the order queries: the up-set sizes,
+        # and for a relation that is not total, r and its image, which is
+        # the first world of each tie class.
+        self._up, self._rep, self._reps = up, rep, reps
 
     # --- constructors ---------------------------------------------------
 
@@ -306,27 +344,30 @@ def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray | 
     order. Entry ``[a, b]`` of the matrix says class ``a`` is strictly more
     preferred than class ``b``, read off the representatives. The matrix is
     ``None`` when the class order is total: each class is then strictly
-    more preferred than every later one.
+    more preferred than every later one. Both cases read what the
+    constructor proved: a total preorder's classes are its runs of equal
+    up-set sizes, larger sizes first; another relation's are r's blocks.
     """
     ids = model.ids
-    mat = model.matrix
-    rep = (mat & mat.T).argmax(1)
-    reps = np.flatnonzero(rep == np.arange(len(ids)))
+    if model._rep is None:
+        up = model._up
+        order = np.argsort(-up, kind="stable")
+        members = [ids[i] for i in order.tolist()]
+        cuts = (np.flatnonzero(np.diff(up[order])) + 1).tolist()
+        return [members[a:b] for a, b in zip([0] + cuts, cuts + [len(ids)])], None
+    rep, reps = model._rep, model._reps
     # One stable sort lists the worlds class by class, in representative
     # order, each class in world order.
     members = [ids[i] for i in np.argsort(rep, kind="stable").tolist()]
     ends = np.cumsum(np.bincount(rep)[reps]).tolist()
     groups = [members[a:b] for a, b in zip([0] + ends, ends)]
     # Two representatives are never tied, so off the diagonal their
-    # relation is the strict one.
-    below = mat[reps[:, None], reps]
+    # relation is the strict one. The class order is not total, or the
+    # relation would be a total preorder.
+    below = model.matrix[reps[:, None], reps]
     np.fill_diagonal(below, False)
     preds = below.sum(axis=0)
     c = len(reps)
-    if preds.sum() == c * (c - 1) // 2:
-        # Every pair of classes is ordered, so the predecessor counts are
-        # 0..c-1, and they are the layers.
-        return [groups[k] for k in np.argsort(preds).tolist()], None
     # A class's layer is the longest strict chain below it. Ordering by
     # predecessor count is topological, as the strict part is transitive.
     layer = np.zeros(c, dtype=np.int64)

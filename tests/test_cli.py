@@ -329,6 +329,39 @@ def test_check_with_no_postulates_selected_is_an_input_error(capsys, model_file,
     assert err == "error: no postulates selected\n"
 
 
+def per_postulate(before, by, after, names):
+    """The per-postulate path ``check`` took before its one alignment."""
+    return [beliefrev.SEMANTIC_CHECKS[name](before, by, after) for name in names]
+
+
+@pytest.mark.parametrize(
+    "selection, op",
+    [("all", "lex"), ("cb,dp1,cb", "lex"), ("faith,rec,dp3,ind,dp2", "natural"), ("mismatch", None)],
+)
+def test_check_prints_what_the_per_postulate_path_prints(
+    capsys, monkeypatch, tmp_path, selection, op
+):
+    before = str(Path(__file__).parent / "data" / "ties5.model")
+    after = tmp_path / "after.model"
+    if selection == "mismatch":
+        after.write_text("atoms: p q r s\nworld lone: p & q & r & s\n")
+    else:
+        _, out, _ = run(capsys, "revise", before, "--op", op, "--by", "r | ~q")
+        after.write_text(out)
+    argv = ["check", "--before", before, "--after", str(after), "--by", "r | ~q"]
+    if selection not in ("all", "mismatch"):
+        argv += ["--postulates", selection]
+    for flags in ([], ["--json"]):
+        aligned_once = run(capsys, *argv, *flags)
+        with monkeypatch.context() as patch:
+            patch.setattr("beliefrev.cli.postulates", per_postulate)
+            assert run(capsys, *argv, *flags) == aligned_once
+        if selection == "mismatch":
+            assert aligned_once[0] == 2 and "world set" in aligned_once[2]
+        else:
+            assert aligned_once[0] == 1 and aligned_once[1]
+
+
 # --- equiv --------------------------------------------------------------------
 
 

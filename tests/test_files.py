@@ -172,3 +172,52 @@ def test_world_line_spellings_parse_to_the_same_valuations():
     for line, bits in cases.items():
         _, model = parse_model_file(f"atoms: p q r\n{line}\n")
         assert model.world("w").valuation.bits == bits, line
+
+
+def test_one_atom_spelled_several_ways_in_one_file():
+    text = (
+        "atoms: p q\n"
+        "world a: p & q\n"
+        "world b:  p  & ~q\n"
+        "world c: ~ p & q\n"
+        "world d: !p & ~q\n"
+        "world e: q&p\n"
+    )
+    _, model = parse_model_file(text)
+    bits = {w.id: w.valuation.bits for w in model.worlds}
+    assert bits == {
+        "a": (True, True), "b": (True, False), "c": (False, True),
+        "d": (False, False), "e": (True, True),
+    }
+
+
+def test_a_repeated_literal_text_gives_equal_valuations():
+    text = "atoms: p q\nworld a: p & ~q\nworld b: ~q & p\nworld c: p & ~q\n"
+    _, model = parse_model_file(text)
+    a, b, c = (model.world(i).valuation for i in "abc")
+    assert a == b == c
+    assert a is c
+
+
+def test_an_unknown_atom_is_reported_after_its_line_mates_were_cached():
+    with pytest.raises(FileFormatError) as err:
+        parse_model_file("atoms: p q\nworld a: p & q\nworld b: p & zz\n")
+    assert str(err.value) == "line 3: unknown atom 'zz' in valuation"
+
+
+def test_an_atom_assigned_twice_through_two_spellings():
+    for literals in ("p & ~ p", "!p & p & q", "~q & p & ! q"):
+        with pytest.raises(FileFormatError) as err:
+            parse_model_file(f"atoms: p q\nworld a: p & q\nworld b: {literals}\n")
+        atom = "p" if literals.count("p") > 1 else "q"
+        assert str(err.value) == f"line 3: atom {atom!r} assigned twice"
+
+
+def test_back_to_back_files_with_different_atoms_share_no_table():
+    _, first = parse_model_file("atoms: p q\nworld a: p & ~q\nworld b: ~p & q\n")
+    _, second = parse_model_file("atoms: q p\nworld a: p & ~q\nworld b: ~p & q\n")
+    assert [w.valuation.bits for w in first.worlds] == [(True, False), (False, True)]
+    assert [w.valuation.bits for w in second.worlds] == [(False, True), (True, False)]
+    with pytest.raises(FileFormatError) as err:
+        parse_model_file("atoms: r\nworld a: p\n")
+    assert str(err.value) == "line 2: unknown atom 'p' in valuation"

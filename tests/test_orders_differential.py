@@ -144,3 +144,75 @@ def test_large_total_preorders_match_the_loop_reference(model):
     assert model.describe_order() == reference.describe_order(model)
     assert dump_model(SIG_PQ, model) == reference.dump_model(SIG_PQ, model)
     assert model_to_dot(model) == reference.model_to_dot(model)
+
+
+# --- transitivity on the tie-class quotient ------------------------------------
+
+
+@st.composite
+def block_expansions(draw):
+    """A preorder on 13-300 worlds expanded from a random class order:
+    tie classes of 1-40 worlds, the class order the closure of random
+    pairs (so usually partial), the worlds shuffled. Returns the relation,
+    each world's class, and a seeded random source for the mutations."""
+    n = draw(st.integers(13, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(40, n - sum(sizes))))
+    c = len(sizes)
+    order = np.eye(c, dtype=bool)
+    for _ in range(rng.randint(0, 2 * c)):
+        a, b = rng.randrange(c), rng.randrange(c)
+        order[a, b] = order[a, b] or a < b
+    for k in range(c):  # Warshall's closure
+        order |= order[:, k : k + 1] & order[k]
+    cls = np.repeat(np.arange(c), sizes)
+    rng.shuffle(cls)
+    return order[cls][:, cls], cls, rng
+
+
+def flip_inside_a_tie_block(mat, cls, rng):
+    tied = [k for k in set(cls.tolist()) if (cls == k).sum() > 1]
+    if tied:
+        i, j = rng.sample(np.flatnonzero(cls == rng.choice(tied)).tolist(), 2)
+        mat[i, j] = False
+
+
+def flip_between_blocks(mat, cls, rng):
+    i = rng.randrange(len(cls))
+    others = np.flatnonzero(cls != cls[i]).tolist()
+    if others:
+        j = rng.choice(others)
+        mat[i, j] = not mat[i, j]
+
+
+def make_a_block_non_constant(mat, cls, rng):
+    """Flip one world's row, or one world's column, inside a block
+    between two classes, the first of them tied."""
+    tied = [k for k in set(cls.tolist()) if (cls == k).sum() > 1]
+    if tied and len(set(cls.tolist())) > 1:
+        a = rng.choice(tied)
+        b = rng.choice(sorted(set(cls.tolist()) - {a}))
+        i = rng.choice(np.flatnonzero(cls == a).tolist())
+        strip = cls == b
+        if rng.random() < 0.5:
+            mat[i, strip] = ~mat[i, strip]
+        else:
+            mat[strip, i] = ~mat[strip, i]
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_expansions())
+def test_quotient_transitivity_matches_the_product_check(expansion):
+    built, cls, rng = expansion
+    ids = [f"w{k}" for k in rng.sample(range(len(cls)), len(cls))]
+    worlds = [World(i, Valuation(SIG_PQ, (True, True))) for i in ids]
+    for mutate in (None, flip_inside_a_tie_block, flip_between_blocks, make_a_block_non_constant):
+        mat = built.copy()
+        if mutate is not None:
+            mutate(mat, cls, rng)
+        expected = error_text(lambda: reference.check_transitive(ids, mat))
+        assert error_text(lambda: PreferenceModel(worlds, mat)) == expected
+        if mutate is None:
+            assert expected is None
