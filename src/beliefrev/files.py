@@ -8,19 +8,21 @@ Graph files::
     atoms: p q
     node a: p & q
     node b: q
-    a < b          # a is strictly more important than b
+    a < b
 
 Model files::
 
     atoms: p q
-    world w1: ~p & q     # total literal conjunction, one per atom
+    world w1: ~p & q
     world w2: p & ~q
-    w1 <= w2             # w1 is at least as preferred as w2
+    w1 <= w2
 
-Graph edge lines carry the strict order only; model order lines are
-generator edges whose reflexive transitive closure is the relation, so a
-tie is written as two opposite edges. Dumps produced here parse back to an
-equal structure.
+Graph edge lines carry the strict order only: ``a < b`` makes node ``a``
+strictly more important than ``b``. A world line is a total literal
+conjunction, one literal per atom. Model order lines are generator edges
+whose reflexive transitive closure is the relation: ``w1 <= w2`` makes
+``w1`` at least as preferred as ``w2``, and a tie is written as two
+opposite edges. Dumps produced here parse back to an equal structure.
 """
 
 from __future__ import annotations

@@ -15,17 +15,18 @@ classes. A total preorder, which chain graphs induce and lexicographic
 revision keeps total, is accepted by comparing it with the order of its
 up-set sizes, and its tie classes are the runs of equal sizes. Any other
 reflexive relation M is decided on its quotient. Let r map each world to
-the first world tied to it (``T = M & M.T``) and Q be M restricted to the
-image of r. Then M is transitive iff it is constant on r's blocks,
-``M[i, j] == M[r(i), r(j)]``, and Q is transitive:
+the first world with the same row of M, and Q be M restricted to the
+image of r. Rows are constant on r's blocks, and M is transitive iff
+columns are too on the rows of r's image, ``M[r(i), j] == M[r(i), r(j)]``,
+and Q is transitive:
 
-- if M is transitive, T is an equivalence, tied worlds share their rows
-  and columns, and a restriction of a transitive relation is transitive;
-- if both hold, ``M[i, j]`` and ``M[j, k]`` give ``Q[r(i), r(j)]`` and
-  ``Q[r(j), r(k)]``, hence ``Q[r(i), r(k)]``, which is ``M[i, k]``.
-
-Block constancy is checked as equal rows, ``M[r] == M``, and equal columns
-on the rows of r's image: ``M[i, j] == M[r(i), j] == M[r(i), r(j)]``.
+- if M is transitive, worlds with equal rows are tied, as each row holds
+  its own world, and tied worlds share rows and columns: r's blocks are
+  the tie classes, r's image their first worlds, and Q, a restriction of
+  M, is transitive;
+- if both hold, ``M[i, j] == M[r(i), r(j)]``, so ``M[i, j]`` and
+  ``M[j, k]`` give ``Q[r(i), r(j)]`` and ``Q[r(j), r(k)]``, hence
+  ``Q[r(i), r(k)]``, which is ``M[i, k]``.
 
 Every other relation question is answered with boolean masks and the one
 exact relation product ``_compose``. It runs on the quotient, on the class
@@ -91,7 +92,19 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Relational composition of two boolean matrices."""
     # A float32 sum of non-negative terms is zero only when every term is,
     # so ``> 0`` is exact at any size, unlike a fixed-width integer count.
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+    # A square shares one float32 copy.
+    a32 = a.astype(np.float32)
+    return (a32 @ (a32 if b is a else b.astype(np.float32))) > 0
+
+
+def _equal_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first equal row, and those first rows in order."""
+    n = len(mat)
+    width = -(-n // 8)
+    packed = np.packbits(mat, axis=1).tobytes()
+    first: dict[bytes, int] = {}
+    rep = [first.setdefault(packed[i * width : (i + 1) * width], i) for i in range(n)]
+    return np.array(rep), np.array(list(first.values()))
 
 
 def _strict(m: np.ndarray) -> np.ndarray:
@@ -166,15 +179,9 @@ class PreferenceModel:
 
     Immutable once constructed; the relation matrix rows and columns follow
     the order in which worlds were supplied. Construction proves
-    transitivity in O(n^2) plus one product over the C tie classes. A total
-    preorder is the order of its up-set sizes. Any other relation is
-    transitive iff it is constant on the blocks of its representative map
-    r (each world's first tied world) and its C x C quotient over r's image
-    is transitive. Both follow from transitivity; conversely a chain
-    ``i <= j <= k`` maps to ``r(i) <= r(j) <= r(k)`` in the quotient, whose
-    closing pair ``r(i) <= r(k)`` block constancy carries back to
-    ``i <= k``. Only a relation shown not transitive pays the n x n
-    product, whose first missing pair names the error.
+    transitivity in O(n^2) plus one product over the C tie classes, as the
+    module docstring shows. Only a relation shown not transitive pays the
+    n x n product, whose first missing pair names the error.
     """
 
     def __init__(self, worlds: Sequence[World], matrix: np.ndarray):
@@ -185,8 +192,8 @@ class PreferenceModel:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ModelInvariantError(f"duplicate world id {dup!r}")
-        signatures = {w.valuation.signature for w in worlds}
-        if len(signatures) != 1:
+        sig = worlds[0].valuation.signature
+        if any(w.valuation.signature is not sig and w.valuation.signature != sig for w in worlds):
             raise ModelInvariantError("worlds mix different signatures")
 
         mat = np.array(matrix, dtype=bool)
@@ -198,25 +205,16 @@ class PreferenceModel:
         if not mat.diagonal().all():
             bad = ids[int(np.argmin(mat.diagonal()))]
             raise ModelInvariantError(f"relation is not reflexive at {bad!r}")
-        # A reflexive relation is a total preorder exactly when it is the
-        # order of its up-set sizes, and then it is transitive. Any other
-        # relation is decided on its quotient over the representative map.
+        # A total preorder is the order of its up-set sizes. Any other
+        # relation is decided on its quotient over r (module docstring).
         up = mat.sum(1)
         rep = reps = None
         if not (mat == (up[:, None] >= up)).all():
-            tie = mat & mat.T
-            if np.count_nonzero(tie) == n:
-                # No two worlds tie: r is the identity, the quotient is M.
-                rep = reps = np.arange(n)
-                quotient = mat
-            else:
-                rep = tie.argmax(1)
-                reps = np.flatnonzero(np.bincount(rep, minlength=n))
-                rows = mat[reps]
-                quotient = None
-                if (mat[rep] == mat).all() and (rows[:, rep] == rows).all():
-                    quotient = rows[:, reps]
-            if quotient is None or (_compose(quotient, quotient) & ~quotient).any():
+            rep, reps = _equal_rows(mat)
+            quotient = mat.take(reps, 0)
+            constant = (quotient.take(rep, 1) == quotient).all()
+            quotient = quotient.take(reps, 1)
+            if not constant or (_compose(quotient, quotient) & ~quotient).any():
                 missing = _compose(mat, mat) & ~mat
                 a, b = (int(x) for x in np.argwhere(missing)[0])
                 raise ModelInvariantError(
@@ -228,8 +226,7 @@ class PreferenceModel:
         self._matrix = mat
         self._index = {w.id: i for i, w in enumerate(worlds)}
         # What the proof found, for the order queries: the up-set sizes,
-        # and for a relation that is not total, r and its image, which is
-        # the first world of each tie class.
+        # and for a relation that is not total, r and its image.
         self._up, self._rep, self._reps = up, rep, reps
 
     # --- constructors ---------------------------------------------------

@@ -117,6 +117,39 @@ def test_induce_at_the_12_atom_bound_keeps_its_dump_within_200_mb():
     assert float(peak_mb) <= 200
 
 
+# Run in a fresh interpreter so that ``sys.modules`` holds only what these
+# requests imported.
+NUMPY_MA_PROBE = """\
+import contextlib, io, sys
+from beliefrev.cli import main
+graph, model, after = sys.argv[1:]
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
+    return code, out.getvalue()
+codes = [run("induce", graph)[0]]
+code, text = run("revise", model, "--op", "lex", "--by", "p | ~r")
+with open(after, "w") as f:
+    f.write(text)
+codes += [code, run("check", "--before", model, "--after", after, "--by", "p | ~r")[0]]
+print(*codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_requests_on_a_partial_order_never_import_numpy_ma(tmp_path):
+    # numpy.ma (imported by np.unique, among others) costs about 1 MB of
+    # peak RSS on every request.
+    data = Path(__file__).parent / "data"
+    src = str(Path(beliefrev.__file__).parent.parent)
+    argv = [str(data / "ties5.pg"), str(data / "ties5.model"), str(tmp_path / "after.model")]
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    # Lexicographic revision fails CB here, so ``check`` exits 1.
+    assert done.stdout.split() == ["0", "0", "1", "False"]
+
+
 def test_induce_json(capsys, graph_file):
     code, out, _ = run(capsys, "induce", graph_file, "--json")
     assert code == 0

@@ -1,5 +1,8 @@
+import textwrap
+
 import pytest
 
+import beliefrev.files
 from beliefrev import FileFormatError, GraphCycleError, PreferenceModel
 from beliefrev.files import (
     dump_graph,
@@ -221,3 +224,17 @@ def test_back_to_back_files_with_different_atoms_share_no_table():
     with pytest.raises(FileFormatError) as err:
         parse_model_file("atoms: r\nworld a: p\n")
     assert str(err.value) == "line 2: unknown atom 'p' in valuation"
+
+
+def docstring_example(heading):
+    """The indented example block under ``heading`` in the module docstring."""
+    block = beliefrev.files.__doc__.split(heading + "::\n\n", 1)[1].split("\n\n", 1)[0]
+    return textwrap.dedent(block) + "\n"
+
+
+def test_the_module_docstring_examples_parse():
+    sig, g = parse_graph_file(docstring_example("Graph files"))
+    assert sig == SIG_PQ and g.node_ids == ("a", "b") and g.edges == {("a", "b")}
+    sig, model = parse_model_file(docstring_example("Model files"))
+    assert sig == SIG_PQ
+    assert model.describe_order() == "w1 < w2"

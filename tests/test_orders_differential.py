@@ -216,3 +216,81 @@ def test_quotient_transitivity_matches_the_product_check(expansion):
         assert error_text(lambda: PreferenceModel(worlds, mat)) == expected
         if mutate is None:
             assert expected is None
+
+
+# --- tie classes as equal rows ------------------------------------------------------
+
+
+@st.composite
+def tie_free_partial_orders(draw):
+    """A partial order on 13-300 worlds without ties: the closure of random
+    pairs that each point forward in a hidden ranking, laid out in a
+    shuffled world order. Returns the relation and a seeded random source."""
+    n = draw(st.integers(13, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    rank = rng.sample(range(n), n)
+    mat = np.eye(n, dtype=bool)
+    for _ in range(rng.randint(1, 2 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        mat[a, b] = mat[a, b] or rank[a] < rank[b]
+    for k in range(n):  # Warshall's closure
+        mat |= mat[:, k : k + 1] & mat[k]
+    return mat, rng
+
+
+@settings(max_examples=15, deadline=None)
+@given(tie_free_partial_orders())
+def test_tie_free_partial_orders_match_the_product_check(order):
+    built, rng = order
+    n = len(built)
+    ids = [f"w{k}" for k in rng.sample(range(n), n)]
+    worlds = [World(i, Valuation(SIG_PQ, (True, True))) for i in ids]
+    for flips in range(3):
+        mat = built.copy()
+        for _ in range(flips):
+            flip_between_blocks(mat, np.arange(n), rng)
+        expected = error_text(lambda: reference.check_transitive(ids, mat))
+        assert error_text(lambda: PreferenceModel(worlds, mat)) == expected
+        if not flips:
+            assert expected is None
+            classes = PreferenceModel(worlds, mat).tie_classes()
+            assert sorted(classes) == sorted([i] for i in ids)
+            # Listed most preferred first: no world after one strictly below it.
+            position = np.empty(n, dtype=np.int64)
+            position[[ids.index(group[0]) for group in classes]] = np.arange(n)
+            below, above = np.nonzero(mat & ~mat.T)
+            assert (position[below] < position[above]).all()
+
+
+@st.composite
+def shared_rows(draw):
+    """A preorder on 3-40 worlds in which world j is then given world i's
+    row, so the two are tied, while their columns differ: not transitive,
+    although the quotient over the first world of each row class is often
+    transitive, so that only the column check rejects it."""
+    n = draw(st.integers(3, 40))
+    index = st.integers(0, n - 1)
+    mat = np.eye(n, dtype=bool)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=2 * n)):
+        mat[a, b] = True
+    for k in range(n):  # Warshall's closure
+        mat |= mat[:, k : k + 1] & mat[k]
+    i, j, k = draw(st.permutations(range(n)))[:3]
+    mat[i, j] = True
+    mat[j] = mat[i]
+    if mat[k, i] == mat[k, j]:
+        mat[k, i] = not mat[k, i]
+    ids = [f"w{x}" for x in draw(st.permutations(range(n)))]
+    return ids, mat, (i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_rows())
+def test_a_shared_row_without_a_shared_column_is_not_transitive(relation):
+    ids, mat, (i, j) = relation
+    assert (mat[i] == mat[j]).all() and not (mat[:, i] == mat[:, j]).all()
+    worlds = [World(w, Valuation(SIG_PQ, (True, True))) for w in ids]
+    for m in (mat, mat.T.copy()):  # a shared row, then a shared column
+        expected = error_text(lambda: reference.check_transitive(ids, m))
+        assert expected is not None
+        assert error_text(lambda: PreferenceModel(worlds, m)) == expected
