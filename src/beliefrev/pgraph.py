@@ -12,7 +12,14 @@ hand needs a separate validity check.
 The induced order lifts node importance to worlds: ``w`` is at least as
 preferred as ``w'`` when every node formula satisfied by ``w'`` is either
 satisfied by ``w`` too, or is outranked by a strictly more important node
-formula that ``w`` satisfies and ``w'`` does not.
+formula that ``w`` satisfies and ``w'`` does not. The same relation asks
+only that ``w`` and ``w'`` differ on some strictly more important node:
+
+- a node that ``w`` satisfies and ``w'`` does not is such a difference;
+- a differing node that ``w'`` satisfies and ``w`` does not needs a
+  differing node above it in turn;
+- ``prec`` is finite and transitive, so this upward chain ends at a node
+  that ``w`` satisfies, strictly above the first.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from .formula import Formula, Or, Signature, _check_atoms
 from .semantics import (
     PreferenceModel,
     World,
-    _compose,
     _preorder_edges,
     _sat_table,
     transitive_closure,
@@ -175,16 +181,19 @@ def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
 
     ``w <= w'`` holds iff for every node formula f: (w' |= f implies
     w |= f), or some strictly more important node formula g has w |= g and
-    w' |/= g. Evaluated for all pairs at once, one node at a time, via the
-    node satisfaction table and the graph's order matrix.
+    w' |/= g; equivalently, w and w' differ on some node above f (module
+    docstring). Evaluated for all pairs at once, one node at a time, by
+    comparing the packed satisfaction bits of the nodes above it.
     """
     worlds = tuple(worlds)
     sat = _sat_table(worlds, graph.labels.values())
     out = np.ones((len(worlds), len(worlds)), dtype=bool)
     for f in range(len(graph)):
-        # w' |= f => w |= f, or some g above f has w |= g and w' |/= g
-        above = sat[graph.matrix[:, f]]
-        out &= ~sat[f] | sat[f][:, None] | _compose(above.T, ~above)
+        # w' |= f => w |= f, unless w and w' differ on a node above f (module docstring)
+        keep = ~sat[f] | sat[f][:, None]
+        for byte in np.packbits(sat[graph.matrix[:, f]], axis=0):
+            keep |= byte[:, None] != byte
+        out &= keep
     return out
 
 
@@ -235,11 +244,12 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
     Raises :class:`NotRepresentableError` otherwise.
     """
     worlds, mat = model.worlds, model.matrix
-    codes: dict = {}
-    valuation = np.array([codes.setdefault(w.valuation, len(codes)) for w in worlds])
-    untied = np.argwhere(np.triu((valuation[:, None] == valuation) & ~(mat & mat.T), 1))
+    # tied worlds have equal rows: compare each with its valuation's first
+    firsts: dict = {}
+    first = np.array([firsts.setdefault(w.valuation, i) for i, w in enumerate(worlds)])
+    untied = np.flatnonzero((mat != mat[first]).any(1))
     if len(untied):
-        a, b = untied[0]
+        a, b = min(zip(first[untied], untied))
         raise NotRepresentableError(worlds[a].id, worlds[b].id)
     labels: dict[str, Formula] = {}
     for j, w in enumerate(worlds):

@@ -196,7 +196,7 @@ class PreferenceModel:
         if any(w.valuation.signature is not sig and w.valuation.signature != sig for w in worlds):
             raise ModelInvariantError("worlds mix different signatures")
 
-        mat = np.array(matrix, dtype=bool)
+        mat = np.array(matrix, dtype=bool, order="C")
         n = len(worlds)
         if mat.shape != (n, n):
             raise ModelInvariantError(

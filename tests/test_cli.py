@@ -104,8 +104,10 @@ print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(), peak_mb)
 """
 
 
-def test_induce_at_the_12_atom_bound_keeps_its_dump_within_200_mb():
-    path = Path(__file__).parent / "data" / "chain12.pg"
+def induce_digest_within_200_mb(name: str) -> str:
+    """The SHA-256 of ``induce``'s dump of a data file, after checking that
+    it exits 0 and peaks at no more than 200 MB."""
+    path = Path(__file__).parent / "data" / f"{name}.pg"
     src = str(Path(beliefrev.__file__).parent.parent)
     done = subprocess.run(
         [sys.executable, "-c", INDUCE_PEAK_PROBE, str(path)],
@@ -113,8 +115,18 @@ def test_induce_at_the_12_atom_bound_keeps_its_dump_within_200_mb():
     )
     code, digest, peak_mb = done.stdout.split()
     assert code == "0"
-    assert digest == "1ad6c33dd74576c955ef580947f1ec0974136f726fde9b39a4b4158c82c3109f"
     assert float(peak_mb) <= 200
+    return digest
+
+
+def test_induce_at_the_12_atom_bound_keeps_its_dump_within_200_mb():
+    digest = induce_digest_within_200_mb("chain12")
+    assert digest == "1ad6c33dd74576c955ef580947f1ec0974136f726fde9b39a4b4158c82c3109f"
+
+
+def test_induce_of_a_partial_order_at_the_12_atom_bound_keeps_its_dump_within_200_mb():
+    digest = induce_digest_within_200_mb("partial12")
+    assert digest == "b557279ed563bae9c65fffccd46ee505c552a6280f03654b14f99497b98dd04e"
 
 
 # Run in a fresh interpreter so that ``sys.modules`` holds only what these

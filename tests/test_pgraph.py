@@ -26,6 +26,7 @@ from beliefrev import (
     worlds_for_signature,
 )
 from helpers import (
+    POOL_TEXTS,
     SIG_PQ,
     SIG_PQR,
     canonical_pq,
@@ -175,6 +176,69 @@ def test_induced_order_with_256_nodes_above_one():
     assert model_pairs(got) == oracle_induced_pairs(g, worlds)
 
 
+LABELS_PQR = ("p", "q", "r", "~p", "p & q", "p | r", "q -> r", "p <-> r", "~q & r", "T")
+
+
+def world_tuples(sig):
+    """The canonical worlds of ``sig`` in any order, or a multiset of their
+    valuations under fresh ids."""
+    canon = worlds_for_signature(sig)
+    permuted = st.permutations(canon).map(tuple)
+    multiset = st.lists(st.sampled_from(canon), min_size=1, max_size=12).map(
+        lambda ws: tuple(World(f"x{i}", w.valuation) for i, w in enumerate(ws))
+    )
+    return st.one_of(permuted, multiset)
+
+
+@st.composite
+def deep_graphs(draw):
+    """10-20 nodes over {p, q, r}, the last in a random ranking below at least
+    nine others, so its nodes above span two packed bytes. The other edges
+    run forward along the ranking, so the graph is acyclic."""
+    n = draw(st.integers(10, 20))
+    listed = draw(st.permutations(range(n)))
+    ranked = draw(st.permutations(range(n)))
+    k = draw(st.integers(9, n - 1))
+    above_low = draw(st.permutations(ranked[:-1]))[:k]
+    pairs = [(ranked[i], ranked[j]) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {(f"n{a}", f"n{b}") for (a, b), on in zip(pairs, picks) if on}
+    edges |= {(f"n{a}", f"n{ranked[-1]}") for a in above_low}
+    labels = {f"n{i}": f(draw(st.sampled_from(LABELS_PQR)), SIG_PQR) for i in listed}
+    return PGraph(labels, edges)
+
+
+@st.composite
+def long_chains(draw):
+    """Chains of 63-70 nodes over two or three atoms, listed in a shuffled
+    order, with labels drawn from a pool of three so that they repeat."""
+    sig = draw(st.sampled_from((SIG_PQ, SIG_PQR)))
+    texts = LABELS_PQR if sig is SIG_PQR else POOL_TEXTS
+    few = draw(st.lists(st.sampled_from(texts), min_size=3, max_size=3))
+    n = draw(st.integers(63, 70))
+    listed = draw(st.permutations(range(n)))
+    ranked = draw(st.permutations(range(n)))
+    labels = {f"n{i}": f(draw(st.sampled_from(few)), sig) for i in listed}
+    edges = {(f"n{a}", f"n{b}") for a, b in zip(ranked, ranked[1:])}
+    return sig, PGraph(labels, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_graphs(), world_tuples(SIG_PQR))
+def test_induced_order_matches_the_oracle_with_nine_or_more_nodes_above(g, worlds):
+    got = PreferenceModel(worlds, induced_order(g, worlds))
+    assert model_pairs(got) == oracle_induced_pairs(g, worlds)
+
+
+@settings(max_examples=8, deadline=None)
+@given(long_chains(), st.data())
+def test_induced_order_matches_the_oracle_on_chains_of_63_to_70_nodes(chain, data):
+    sig, g = chain
+    worlds = data.draw(world_tuples(sig))
+    got = PreferenceModel(worlds, induced_order(g, worlds))
+    assert model_pairs(got) == oracle_induced_pairs(g, worlds)
+
+
 def test_induced_order_is_valuation_determined():
     # worlds sharing a valuation are always tied
     v_pq = Valuation(SIG_PQ, (True, True))
@@ -300,6 +364,18 @@ def test_graph_from_preorder_rejects_asymmetric_twins():
     m = PreferenceModel.from_edges(worlds, [("a", "b")])
     with pytest.raises(NotRepresentableError):
         graph_from_preorder(m)
+
+
+def test_graph_from_preorder_names_the_first_untied_pair_in_row_order():
+    # two valuation groups, each with an untied pair; the group of the
+    # earlier world is named, although its untied member comes last
+    v_p = Valuation(SIG_PQ, (True, False))
+    v_q = Valuation(SIG_PQ, (False, True))
+    worlds = (World("a0", v_p), World("b0", v_q), World("b1", v_q), World("a1", v_p))
+    m = PreferenceModel.from_edges(worlds, [("a0", "b0"), ("b0", "b1"), ("b1", "a1")])
+    with pytest.raises(NotRepresentableError) as err:
+        graph_from_preorder(m)
+    assert err.value.pair == ("a0", "a1")
 
 
 def test_round_trip_on_every_trio_preorder():

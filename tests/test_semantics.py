@@ -88,6 +88,18 @@ def test_from_edges_names_an_unknown_world():
         PreferenceModel.from_edges(canonical_pq(), [("w_pq", "ghost")])
 
 
+def test_model_stores_a_c_ordered_copy_of_fortran_and_transposed_input():
+    worlds = canonical_pq()
+    # a partial preorder with a tie, so the quotient proof runs as well
+    edges = [("w_pq", "w_p"), ("w_p", "w_pq"), ("w_p", "w_q")]
+    source = PreferenceModel.from_edges(worlds, edges)
+    for mat in (np.asfortranarray(source.matrix), source.matrix.T.copy().T):
+        assert not mat.flags.c_contiguous
+        model = PreferenceModel(worlds, mat)
+        assert model.matrix.flags.c_contiguous
+        assert model_pairs(model) == model_pairs(source)
+
+
 def test_model_equality_ignores_world_order():
     worlds = canonical_pq()
     a = PreferenceModel.from_edges(worlds, [("w_pq", "w_p")])
