@@ -2,8 +2,9 @@
 
 Subcommands: ``induce``, ``revise``, ``check``, ``equiv``, ``demo``.
 Exit codes: 0 on success or all-pass, 1 for a postulate violation, demo
-failure, or inequivalence, 2 for input errors. ``--json`` switches every
-subcommand to machine-readable output.
+failure, or inequivalence, 2 for input errors, exceeded bounds and
+running out of memory. ``--json`` switches every subcommand to
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -263,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (OSError, BeliefRevError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return 2
 
 

@@ -73,7 +73,8 @@ class NotRepresentableError(BeliefRevError):
 
 class ResourceBoundError(BeliefRevError):
     """A request exceeds a bound of the package: an exhaustive sweep beyond
-    its configured bounds, or a formula nested too deeply to evaluate."""
+    its configured bounds, a formula nested too deeply to evaluate, or a
+    model file with more worlds than it may declare."""
 
 
 class FileFormatError(BeliefRevError):

@@ -23,13 +23,17 @@ conjunction, one literal per atom. Model order lines are generator edges
 whose reflexive transitive closure is the relation: ``w1 <= w2`` makes
 ``w1`` at least as preferred as ``w2``, and a tie is written as two
 opposite edges. Dumps produced here parse back to an equal structure.
+
+A model file declares at most ``MODEL_WORLD_LIMIT`` (8,192) worlds; its
+first world line past the bound raises :class:`ResourceBoundError`, before
+any dense n x n relation is allocated.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import BeliefRevError, FileFormatError
+from .errors import BeliefRevError, FileFormatError, ResourceBoundError
 from .formula import Formula, Signature, Valuation, parse, to_text
 from .pgraph import PGraph
 from .semantics import PreferenceModel, World, _describe, _generators
@@ -39,6 +43,9 @@ _NODE_RE = re.compile(r"node\s+(\w+)\s*:\s*(.+)")
 _GRAPH_EDGE_RE = re.compile(r"(\w+)\s*<\s*(\w+)")
 # A world line, or failing that an order line.
 _MODEL_LINE_RE = re.compile(r"world\s+(\w+)\s*:\s*(.+)|(\w+)\s*<=\s*(\w+)")
+
+# Lex revision of an 8,192-world file peaks near 0.5 GB (7 bytes per cell).
+MODEL_WORLD_LIMIT = 8192
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -133,6 +140,8 @@ def parse_model_file(text: str) -> tuple[Signature, PreferenceModel]:
             continue
         if name in worlds:
             raise FileFormatError(f"duplicate world {name!r}", number)
+        if len(worlds) == MODEL_WORLD_LIMIT:
+            raise ResourceBoundError(f"line {number}: more than {MODEL_WORLD_LIMIT} worlds")
         valuation = valuations.get(conjunction)
         if valuation is None:
             bits: list[bool | None] = [None] * len(slots)

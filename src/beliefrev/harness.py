@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ResourceBoundError
 from .formula import Atom, Formula, Signature, Valuation, to_text
 from .pgraph import (
@@ -36,10 +38,10 @@ from .postulates import check_cb, check_faith
 from .semantics import (
     PreferenceModel,
     World,
+    _minimal,
+    _sat_vector,
     lex_revise,
-    min_worlds,
     natural_revise,
-    worlds_for_signature,
 )
 from .transforms import prefix
 
@@ -171,8 +173,8 @@ def demo_fact_cb() -> DemoReport:
     return report
 
 
-# The search walks all pairs of the 2**(2**n) - 1 canonical world subsets
-# and the refutation enumerates all 2**(2**n) truth tables.
+# The search builds all 2**(2**n) - 1 canonical world subsets and the
+# refutation enumerates all 2**(2**n) truth tables.
 FACT_MIN_ATOM_LIMIT = 3
 
 
@@ -195,28 +197,23 @@ def demo_fact_min(graph: PGraph, by: Formula, sig: Signature) -> DemoReport:
     report = DemoReport("fact-min")
     report.steps.append(f"graph: {graph!r}")
     report.steps.append(f"selecting most preferred worlds of: {to_text(by)}")
-    worlds = worlds_for_signature(sig)
-    subsets = [
-        combo
-        for size in range(1, len(worlds) + 1)
-        for combo in itertools.combinations(worlds, size)
-    ]
-    models = [induce_model(graph, subset) for subset in subsets]
-    minimal = [frozenset(w.valuation for w in min_worlds(m, by)) for m in models]
-    required_false = [
-        {w.valuation for w in m.worlds} - minimal[i] for i, m in enumerate(models)
-    ]
-    clash = None
-    for a, b in itertools.combinations(range(len(models)), 2):
-        for first, second in ((a, b), (b, a)):
-            overlap = minimal[first] & required_false[second]
-            if overlap:
-                clash = (first, second, sorted(overlap, key=lambda v: v.bits)[0])
-                break
-        if clash:
-            break
+    # Induced orders restrict pointwise, so the submodel on a world subset is
+    # the canonical relation restricted to it. Subsets are the rows of
+    # ``subsets``, in itertools.combinations order, singletons first.
+    canonical = canonical_model(graph, sig)
+    worlds = canonical.worlds
+    n = len(worlds)
+    combos = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+    subsets = np.array([[i in combo for i in range(n)] for combo in combos])
+    sat = _sat_vector(worlds, by)
+    minimal = _minimal(subsets & sat, canonical.matrix)
+    # A world selected in some submodel is selected in its own singleton,
+    # which precedes every larger subset; so the first clashing pair of
+    # submodels is the singleton of the first world that satisfies ``by``
+    # and is unselected in some subset, and the first such subset.
+    unselected = subsets & sat & ~minimal
 
-    if clash is None:
+    if not unselected.any():
         report.check(
             "two induced models with conflicting selection requirements exist",
             False,
@@ -224,9 +221,12 @@ def demo_fact_min(graph: PGraph, by: Formula, sig: Signature) -> DemoReport:
         report.data = {"status": "not-found"}
         return report
 
-    first, second, valuation = clash
-    model_a, model_b = models[first], models[second]
-    min_a, min_b = minimal[first], minimal[second]
+    first, second = np.argwhere(unselected.T)[0]
+    valuation = worlds[first].valuation
+    model_a = canonical.restricted_to([worlds[first].id])
+    model_b = canonical.restricted_to(worlds[i].id for i in combos[second])
+    min_a = frozenset([valuation])
+    min_b = frozenset(worlds[i].valuation for i in np.flatnonzero(minimal[second]))
     report.steps.append(f"model A over {[w.id for w in model_a.worlds]}: {model_a.describe_order()}")
     report.steps.append(f"model B over {[w.id for w in model_b.worlds]}: {model_b.describe_order()}")
     report.check(

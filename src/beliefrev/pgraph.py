@@ -25,7 +25,6 @@ only that ``w`` and ``w'`` differ on some strictly more important node:
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -116,18 +115,6 @@ class PGraph:
         """The transitive closure of the stored edges, as id pairs."""
         ids = self.node_ids
         return frozenset((ids[a], ids[b]) for a, b in zip(*np.nonzero(self._matrix)))
-
-    def predecessors(self, node_id: str) -> tuple[str, ...]:
-        """The nodes strictly more important than ``node_id``, in node order."""
-        return self._predecessors[node_id]
-
-    @cached_property
-    def _predecessors(self) -> dict[str, tuple[str, ...]]:
-        ids = self.node_ids
-        return {
-            n: tuple(m for m, above in zip(ids, column) if above)
-            for n, column in zip(ids, self._matrix.T.tolist())
-        }
 
     def validate(self) -> None:
         """Confirm ``prec`` is a strict partial order. The constructor runs

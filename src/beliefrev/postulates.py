@@ -23,6 +23,7 @@ transformed labels.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -290,14 +291,16 @@ def cond_rec(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     """
     _check_atoms(sig, by, *before.labels.values(), *after.labels.values())
     bad: list[tuple[str, str, str]] = []
-    for n_xi, xi in after.labels.items():
+    labels = after.labels
+    # column j of the closed order marks the strict predecessors of node j
+    for (n_xi, xi), column in zip(labels.items(), after.matrix.T.tolist()):
         if equivalent(xi, TOP, sig) or equivalent(xi, BOT, sig):
             continue
         if entails(xi, by, sig):
             continue
         if any(
             not equivalent(psi, BOT, sig) and entails(psi, by, sig)
-            for psi in map(after.label, after.predecessors(n_xi))
+            for psi in itertools.compress(labels.values(), column)
         ):
             continue
         bad.append(("1", n_xi, str(xi)))

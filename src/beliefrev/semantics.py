@@ -112,8 +112,9 @@ def _strict(m: np.ndarray) -> np.ndarray:
 
 
 def _minimal(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The worlds of ``s`` that no world of ``s`` is strictly below in ``m``."""
-    return s & ~(s[:, None] & _strict(m)).any(axis=0)
+    """The worlds of ``s`` that no world of ``s`` is strictly below in ``m``;
+    each row of a stack of world sets on its own."""
+    return s & ~(s[..., :, None] & _strict(m)).any(axis=-2)
 
 
 def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:

@@ -13,23 +13,16 @@ import random
 import numpy as np
 
 from beliefrev import (
-    And,
-    Atom,
-    Bot,
     Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
     PGraph,
     PreferenceModel,
     Signature,
-    Top,
     Valuation,
     World,
     parse,
-    worlds_for_signature,
 )
+from beliefrev.formula import And, Atom, Bot, Iff, Implies, Not, Or, Top
+from beliefrev.semantics import worlds_for_signature
 from reference_formula import eval_formula
 
 SIG_PQ = Signature(("p", "q"))
@@ -219,7 +212,7 @@ def random_pgraph(rng: random.Random, sig: Signature, max_nodes: int = 4) -> PGr
 
 def preorder_models_on_trio():
     """Every reflexive transitive relation over the three trio worlds."""
-    from beliefrev import enumerate_preorders
+    from beliefrev.semantics import enumerate_preorders
 
     worlds = trio_worlds()
     return [PreferenceModel(worlds, mat) for mat in enumerate_preorders(3)]

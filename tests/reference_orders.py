@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from beliefrev import Formula, ModelInvariantError, PreferenceModel, Signature, World
+from beliefrev import Formula, PreferenceModel, Signature, World
+from beliefrev.errors import ModelInvariantError
 from beliefrev.semantics import _compose
 
 

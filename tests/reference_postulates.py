@@ -10,21 +10,18 @@ witness order included.
 from __future__ import annotations
 
 from beliefrev import (
-    BOT,
-    TOP,
-    And,
-    ConditionReport,
     Formula,
-    Not,
     PGraph,
     PostulateReport,
     PreferenceModel,
     Signature,
-    WorldSetMismatchError,
     entails,
     equivalent,
-    min_worlds,
 )
+from beliefrev.errors import WorldSetMismatchError
+from beliefrev.formula import BOT, TOP, And, Not
+from beliefrev.postulates import ConditionReport
+from beliefrev.semantics import min_worlds
 
 
 def _shared_ids(before: PreferenceModel, after: PreferenceModel) -> list[str]:

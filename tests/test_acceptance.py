@@ -26,38 +26,35 @@ import time
 import numpy as np
 
 from beliefrev import (
-    NULL,
     PreferenceModel,
-    apply_induced,
     canonical_model,
     check_cb,
+    check_rec,
+    demo_fact_cb,
+    demo_fact_min,
+    graph_from_preorder,
+    lex_revise,
+    natural_revise,
+    prefix,
+    sweep_harmony,
+)
+from beliefrev.pgraph import enumerate_pgraphs, induce_model, induced_order
+from beliefrev.postulates import (
     check_dp1,
     check_dp2,
     check_dp3,
     check_dp4,
     check_faith,
     check_ind,
-    check_rec,
     cond_dp1,
     cond_dp2,
     cond_dp3,
     cond_dp4,
     cond_ind,
     cond_rec,
-    demo_fact_cb,
-    demo_fact_min,
-    enumerate_pgraphs,
-    graph_from_preorder,
-    induce_model,
-    induced_order,
-    lex_revise,
-    min_worlds,
-    natural_revise,
-    null_transform,
-    prefix,
-    sweep_harmony,
-    worlds_for_signature,
 )
+from beliefrev.semantics import min_worlds, worlds_for_signature
+from beliefrev.transforms import NULL, apply_induced, null_transform
 from helpers import (
     SIG_PQ,
     SIG_PQR,

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import beliefrev
+import beliefrev.semantics
 from beliefrev.cli import main
+from beliefrev.files import MODEL_WORLD_LIMIT
 
 CHAIN_GRAPH = """\
 atoms: p q
@@ -224,6 +226,33 @@ def test_revise_rejects_non_utf8_input(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "not UTF-8" in err
+
+
+def test_a_model_file_past_the_world_bound_exits_2_before_any_relation(
+    capsys, tmp_path, monkeypatch
+):
+    path = tmp_path / "big.model"
+    worlds = "".join(f"world w{i}: p\n" for i in range(MODEL_WORLD_LIMIT + 1))
+    path.write_text("atoms: p\n" + worlds)
+
+    def no_relation(cls, *args):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(beliefrev.semantics.PreferenceModel, "from_edges", classmethod(no_relation))
+    code, out, err = run(capsys, "revise", str(path), "--op", "lex", "--by", "p")
+    assert (code, out) == (2, "")
+    assert err == f"error: line {MODEL_WORLD_LIMIT + 2}: more than {MODEL_WORLD_LIMIT} worlds\n"
+
+
+def test_running_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch, model_file):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(beliefrev.semantics, "transitive_closure", exhausted)
+    code, out, err = run(capsys, "revise", model_file, "--op", "lex", "--by", "p")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
 
 
 def test_deeply_nested_formulas_are_input_errors(capsys, tmp_path, model_file):

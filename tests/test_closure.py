@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_orders as reference
-from beliefrev import TOP, PGraph, PreferenceModel, World
+from beliefrev import PGraph, PreferenceModel, World
+from beliefrev.formula import TOP
 from beliefrev.files import parse_model_file
 from beliefrev.semantics import _world_mismatch, transitive_closure
 from helpers import all_equal_fixture, chain_fixture, oracle_closure

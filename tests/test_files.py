@@ -3,7 +3,8 @@ import textwrap
 import pytest
 
 import beliefrev.files
-from beliefrev import FileFormatError, GraphCycleError, PreferenceModel
+from beliefrev import PreferenceModel
+from beliefrev.errors import FileFormatError, GraphCycleError, ResourceBoundError
 from beliefrev.files import (
     dump_graph,
     dump_model,
@@ -238,3 +239,14 @@ def test_the_module_docstring_examples_parse():
     sig, model = parse_model_file(docstring_example("Model files"))
     assert sig == SIG_PQ
     assert model.describe_order() == "w1 < w2"
+
+
+def test_the_world_bound_admits_its_last_world_and_names_the_next_line(monkeypatch):
+    monkeypatch.setattr(beliefrev.files, "MODEL_WORLD_LIMIT", 3)
+    text = "atoms: p\n# three worlds\nworld a: p\nworld b: ~p\nworld c: p\n"
+    _, model = parse_model_file(text)
+    assert model.ids == ("a", "b", "c")
+    with pytest.raises(ResourceBoundError) as err:
+        parse_model_file(text + "a <= b\nworld d: ~p\n")
+    assert str(err.value) == "line 7: more than 3 worlds"
+    assert not isinstance(err.value, FileFormatError)

@@ -2,27 +2,14 @@ import random
 
 import pytest
 
-from beliefrev import (
-    And,
-    Atom,
-    BOT,
+from beliefrev import Signature, Valuation, entails, equivalent, eval_formula, parse
+from beliefrev.errors import (
     FormulaSyntaxError,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Signature,
     SignatureError,
     SignatureTooLargeError,
-    TOP,
     UnknownAtomError,
-    Valuation,
-    entails,
-    equivalent,
-    eval_formula,
-    parse,
-    to_text,
 )
+from beliefrev.formula import And, Atom, BOT, Iff, Implies, Not, Or, TOP, to_text
 from helpers import SIG_PQ, random_formula
 
 

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beliefrev
-from beliefrev import BOT, TOP, And, Atom, Iff, Implies, Not, Or, UnknownAtomError, to_text
+from beliefrev.errors import UnknownAtomError
+from beliefrev.formula import BOT, TOP, And, Atom, Iff, Implies, Not, Or, to_text
 from beliefrev.formula import _check_atoms
 from helpers import SIG_PQ, oracle_atoms
 
 NAME_UNKNOWN = """
-from beliefrev import And, Atom, Signature, UnknownAtomError, entails
+from beliefrev import Signature, entails
+from beliefrev.errors import UnknownAtomError
+from beliefrev.formula import And, Atom
 try:
     entails(And(Atom("xa"), Atom("yb")), Atom("p"), Signature(("p", "q")))
 except UnknownAtomError as exc:

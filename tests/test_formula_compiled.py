@@ -14,25 +14,17 @@ from hypothesis import strategies as st
 import beliefrev
 import reference_formula as ref
 from beliefrev import (
-    BOT,
-    TOP,
-    And,
-    Atom,
     BeliefRevError,
-    Iff,
-    Implies,
-    Not,
-    Or,
     Signature,
-    UnknownAtomError,
     Valuation,
     entails,
     equivalent,
     eval_formula,
     parse,
-    to_text,
-    worlds_for_signature,
 )
+from beliefrev.errors import UnknownAtomError
+from beliefrev.formula import BOT, TOP, And, Atom, Iff, Implies, Not, Or, to_text
+from beliefrev.semantics import worlds_for_signature
 from beliefrev.files import parse_model_file
 from beliefrev.formula import _MEMO_SIZE, _memo
 from beliefrev.semantics import _sat_vector

@@ -1,18 +1,12 @@
+import itertools
+
 import pytest
 
-from beliefrev import (
-    BOT,
-    PGraph,
-    ResourceBoundError,
-    Signature,
-    TOP,
-    demo_fact_cb,
-    demo_fact_min,
-    induce_model,
-    min_worlds,
-    sweep_harmony,
-    worlds_for_signature,
-)
+from beliefrev import PGraph, Signature, demo_fact_cb, demo_fact_min, sweep_harmony
+from beliefrev.errors import ResourceBoundError
+from beliefrev.formula import BOT, TOP
+from beliefrev.pgraph import enumerate_pgraphs, induce_model
+from beliefrev.semantics import min_worlds, worlds_for_signature
 from helpers import SIG_PQ, f, graph, pool
 
 
@@ -87,6 +81,47 @@ def test_demo_fact_min_reports_not_found_for_empty_graph_and_top():
     report = demo_fact_min(PGraph({}), TOP, SIG_PQ)
     assert not report.verdict
     assert report.data["status"] == "not-found"
+
+
+def reference_fact_min(g, by, sig):
+    """The clash search on one induced model per world subset, pairs walked
+    in ``itertools.combinations`` order, each pair both ways."""
+    worlds = worlds_for_signature(sig)
+    models = [
+        induce_model(g, combo)
+        for size in range(1, len(worlds) + 1)
+        for combo in itertools.combinations(worlds, size)
+    ]
+    selected = [{w.valuation for w in min_worlds(m, by)} for m in models]
+    for a, b in itertools.combinations(range(len(models)), 2):
+        for first, second in ((a, b), (b, a)):
+            present = {w.valuation for w in models[second].worlds}
+            overlap = selected[first] & (present - selected[second])
+            if overlap:
+                return {
+                    "status": "witness-found",
+                    "worlds_a": [w.id for w in models[first].worlds],
+                    "worlds_b": [w.id for w in models[second].worlds],
+                    "min_valuations_a": sorted(v.describe() for v in selected[first]),
+                    "min_valuations_b": sorted(v.describe() for v in selected[second]),
+                    "clash_valuation": min(overlap, key=lambda v: v.bits).describe(),
+                }
+    return {"status": "not-found"}
+
+
+def test_demo_fact_min_matches_the_per_subset_reference():
+    bys = (f("~p"), f("p <-> q"), TOP)
+    cases = [(g, by, SIG_PQ) for g in enumerate_pgraphs(pool(), 2) for by in bys]
+    sig3 = Signature(("p", "q", "r"))
+    cases += [
+        (graph({"a": "p", "b": "q | r", "c": "~r"}, [("a", "b")], sig3), f("~p | r", sig3), sig3),
+        (graph({"a": "p & q", "b": "r"}, [("b", "a")], sig3), f("q", sig3), sig3),
+        (graph({"a": "p"}, (), sig3), f("T", sig3), sig3),
+    ]
+    for g, by, sig in cases:
+        report = demo_fact_min(g, by, sig)
+        assert report.data == reference_fact_min(g, by, sig), (g, by)
+        assert report.verdict == (report.data["status"] == "witness-found")
 
 
 def test_demo_fact_min_respects_its_atom_bound():

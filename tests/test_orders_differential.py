@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_orders as reference
-from beliefrev import BOT, TOP, PreferenceModel, Valuation, World, enumerate_preorders, min_worlds
-from beliefrev import ModelInvariantError
+from beliefrev import PreferenceModel, Valuation, World
+from beliefrev.errors import ModelInvariantError
 from beliefrev.files import dump_model, model_to_dot
+from beliefrev.formula import BOT, TOP
+from beliefrev.semantics import enumerate_preorders, min_worlds
 from helpers import SIG_PQ, canonical_pq, pool
 
 FORMULAS = pool() + (TOP, BOT)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_formula as ref
-from beliefrev import BOT, TOP, And, Atom, BeliefRevError, Iff, Implies, Not, Or, parse, to_text
+from beliefrev import BeliefRevError, parse
+from beliefrev.formula import BOT, TOP, And, Atom, Iff, Implies, Not, Or, to_text
 from helpers import SIG_PQR
 
 WHITESPACE = ["", " ", "  ", "\t", "\n", " \u00a0", "\r\n"]

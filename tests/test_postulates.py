@@ -1,36 +1,35 @@
 import pytest
 
 from beliefrev import (
-    BOT,
-    CONDITION_CHECKS,
     SEMANTIC_CHECKS,
-    TOP,
-    Atom,
     PGraph,
-    UnknownAtomError,
-    WorldSetMismatchError,
     canonical_model,
     check_cb,
+    check_rec,
+    lex_revise,
+    natural_revise,
+    prefix,
+)
+from beliefrev.errors import UnknownAtomError, WorldSetMismatchError
+from beliefrev.formula import BOT, TOP, Atom
+from beliefrev.pgraph import enumerate_pgraphs
+from beliefrev.postulates import (
+    CONDITION_CHECKS,
     check_dp1,
     check_dp2,
     check_dp3,
     check_dp4,
     check_faith,
     check_ind,
-    check_rec,
     cond_dp1,
     cond_dp2,
     cond_dp3,
     cond_dp4,
     cond_ind,
     cond_rec,
-    enumerate_pgraphs,
-    lex_revise,
-    natural_revise,
-    null_change,
-    null_transform,
-    prefix,
 )
+from beliefrev.semantics import null_change
+from beliefrev.transforms import null_transform
 from helpers import (
     SIG_PQ,
     all_equal_fixture,
@@ -87,7 +86,7 @@ def reverify(report, before, by, after):
             assert a in sat and b not in sat
             assert before.leq(a, b) and not after.strictly_below(a, b)
         elif report.postulate == "cb":
-            from beliefrev import min_worlds
+            from beliefrev.semantics import min_worlds
 
             minimal = {w.id for w in min_worlds(before, by)}
             a, b = witness

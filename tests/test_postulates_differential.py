@@ -12,19 +12,18 @@ from hypothesis import strategies as st
 
 import reference_postulates as reference
 from beliefrev import (
-    CONDITION_CHECKS,
     SEMANTIC_CHECKS,
-    Atom,
-    GraphCycleError,
-    GraphSelfLoopError,
     PGraph,
     PreferenceModel,
     World,
     canonical_model,
-    enumerate_pgraphs,
-    null_transform,
     prefix,
 )
+from beliefrev.errors import GraphCycleError, GraphSelfLoopError
+from beliefrev.formula import Atom
+from beliefrev.pgraph import enumerate_pgraphs
+from beliefrev.postulates import CONDITION_CHECKS
+from beliefrev.transforms import null_transform
 from helpers import SIG_PQ, SIG_PQR, f, graph, pool, preorder_models_on_trio
 
 

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from beliefrev import (
-    BOT,
-    TOP,
-    ModelInvariantError,
     PreferenceModel,
     Signature,
     Valuation,
     World,
-    enumerate_preorders,
     lex_revise,
-    min_worlds,
     natural_revise,
+)
+from beliefrev.errors import ModelInvariantError
+from beliefrev.formula import BOT, TOP
+from beliefrev.semantics import (
+    enumerate_preorders,
+    min_worlds,
     null_change,
     worlds_for_signature,
 )

@@ -1,22 +1,24 @@
 import pytest
 
 from beliefrev import (
-    GraphTransformation,
-    NULL,
     PGraph,
-    PREFIX,
     PreferenceModel,
-    apply_induced,
     canonical_model,
-    enumerate_pgraphs,
     graphs_equivalent,
     lex_revise,
-    null_transform,
     prefix,
-    relevance_check,
-    NotRepresentableError,
     Valuation,
     World,
+)
+from beliefrev.errors import NotRepresentableError
+from beliefrev.pgraph import enumerate_pgraphs
+from beliefrev.transforms import (
+    GraphTransformation,
+    NULL,
+    PREFIX,
+    apply_induced,
+    null_transform,
+    relevance_check,
 )
 from helpers import (
     SIG_PQ,
