@@ -2,11 +2,12 @@
 
 Entailment and equivalence are decided by an exhaustive truth-table sweep.
 Each formula is compiled once into a short-circuiting function of a
-valuation's bits; runs of & and of | compile flat. Nesting is bounded twice,
-both times as an input error: parsing stops near 490 parenthesis levels
-(FormulaSyntaxError), and evaluation at Python's compiler limit
-(ResourceBoundError). The concrete syntax is plain ASCII so that graph and
-model files stay hand-writable:
+valuation's bits; runs of & and of | compile flat. An atom outside the
+signature is an input error (UnknownAtomError) wherever a formula is parsed
+or compiled, reached or not. Nesting is bounded twice, both times as an
+input error: parsing stops near 490 parenthesis levels (FormulaSyntaxError),
+and evaluation at Python's compiler limit (ResourceBoundError). The concrete
+syntax is plain ASCII so that graph and model files stay hand-writable:
 
     ~  !      negation
     &         conjunction
@@ -210,7 +211,8 @@ BOT = Bot()
 
 
 def eval_formula(formula: Formula, valuation: Valuation) -> bool:
-    """Classical truth value of ``formula`` under a total valuation."""
+    """Classical truth value of ``formula`` under a total valuation; an atom
+    outside its signature raises :class:`UnknownAtomError`, reached or not."""
     return _compiled(formula, valuation.signature)(valuation.bits)
 
 
@@ -228,7 +230,8 @@ _BUILD = {
 
 def _compile(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
     """Translate ``formula`` without recursion into a lambda over a bits tuple,
-    evaluated left to right; an atom outside ``sig`` raises when reached."""
+    evaluated left to right; the leftmost atom outside ``sig``, the one
+    :func:`parse` would name, raises :class:`UnknownAtomError` at once."""
     index = {a: i for i, a in enumerate(sig.atoms)}
     # todo holds (node, None) to translate, or (build, n) to join the last n of done
     done, todo = [], [(formula, None)]
@@ -237,9 +240,9 @@ def _compile(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
         if n is not None:
             done[-n:] = [f(done[-n:])]
         elif isinstance(f, Atom):
-            i = ast.Constant(index.get(f.name, f.name), **_AT)
-            if f.name not in index:  # b[index(name)] raises UnknownAtomError
-                i = ast.Call(ast.Name("index", ast.Load(), **_AT), [i], [], **_AT)
+            if f.name not in index:
+                raise UnknownAtomError(f.name)
+            i = ast.Constant(index[f.name], **_AT)
             done.append(ast.Subscript(ast.Name("b", ast.Load(), **_AT), i, ast.Load(), **_AT))
         elif isinstance(f, (Top, Bot)):
             done.append(ast.Constant(isinstance(f, Top), **_AT))
@@ -259,7 +262,7 @@ def _compile(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
         code = compile(ast.Expression(ast.Lambda(params, done[0], **_AT)), "<formula>", "eval")
     except RecursionError:
         raise ResourceBoundError("formula is nested too deeply to evaluate") from None
-    return eval(code, {"index": sig.index})
+    return eval(code, {})
 
 
 def _compiled(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
@@ -302,7 +305,6 @@ def _check_atoms(sig: Signature, *formulas: Formula) -> None:
 def entails(premise: Formula, conclusion: Formula, sig: Signature) -> bool:
     """True when every valuation over ``sig`` satisfying ``premise`` also
     satisfies ``conclusion`` (exhaustive sweep of all 2**n valuations)."""
-    _check_atoms(sig, premise, conclusion)
     p, c = _compiled(premise, sig), _compiled(conclusion, sig)
     return all(c(v.bits) for v in sig.valuations() if p(v.bits))
 
@@ -310,7 +312,6 @@ def entails(premise: Formula, conclusion: Formula, sig: Signature) -> bool:
 def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
     """Logical equivalence relative to ``sig``: equal truth value under
     every valuation. Coincides with mutual entailment."""
-    _check_atoms(sig, left, right)
     f, g = _compiled(left, sig), _compiled(right, sig)
     return all(f(v.bits) == g(v.bits) for v in sig.valuations())
 

@@ -35,7 +35,7 @@ from .errors import (
     NotRepresentableError,
     SignatureTooLargeError,
 )
-from .formula import Formula, Or, Signature, _check_atoms
+from .formula import Formula, Or, Signature
 from .semantics import (
     PreferenceModel,
     World,
@@ -198,7 +198,6 @@ def canonical_model(graph: PGraph, sig: Signature) -> PreferenceModel:
         raise SignatureTooLargeError(
             f"{len(sig)} atoms exceed the canonical-model bound of {CANONICAL_ATOM_LIMIT}"
         )
-    _check_atoms(sig, *graph.labels.values())
     return induce_model(graph, worlds_for_signature(sig))
 
 

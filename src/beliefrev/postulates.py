@@ -196,10 +196,9 @@ class _Counterparts:
     An atom outside ``sig`` raises first, as the module docstring says."""
 
     def __init__(self, before: PGraph, by: Formula, after: PGraph, sig: Signature, relation: str):
-        _check_atoms(sig, by, *before.labels.values(), *after.labels.values())
         worlds = worlds_for_signature(sig)
-        f, self.g = (_sat_table(worlds, graph.labels.values()) for graph in (before, after))
         self.s, self.graphs = _sat_vector(worlds, by), (before, after)
+        f, self.g = (_sat_table(worlds, graph.labels.values()) for graph in (before, after))
         self.rel = _RELATIONS[relation](self.s, f[:, None], self.g)
         self.is_by = (self.g == self.s).all(-1)
 

@@ -74,7 +74,8 @@ def worlds_for_signature(sig: Signature) -> tuple[World, ...]:
 
 
 def _sat_vector(worlds: Sequence[World], formula: Formula) -> np.ndarray:
-    """Which of ``worlds``, all over one signature, satisfy ``formula``."""
+    """Which of ``worlds``, all over one signature, satisfy ``formula``. No
+    worlds carry no signature, so they give an empty vector, unevaluated."""
     if not worlds:
         return np.zeros(0, dtype=bool)
     fn = _compiled(formula, worlds[0].valuation.signature)
@@ -246,8 +247,9 @@ class PreferenceModel:
                 if end not in index:
                     raise ModelInvariantError(f"edge endpoint {end!r} is not a world")
             pairs.append((index[a], index[b]))
-        identity = np.eye(len(worlds), dtype=bool)
-        return cls(worlds, transitive_closure(len(worlds), pairs) | identity)
+        closure = transitive_closure(len(worlds), pairs)
+        np.fill_diagonal(closure, True)
+        return cls(worlds, closure)
 
     # --- accessors --------------------------------------------------------
 
@@ -426,10 +428,9 @@ def min_worlds(model: PreferenceModel, formula: Formula) -> frozenset[World]:
 def lex_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     """Lexicographic revision: all satisfying worlds become strictly more
     preferred than all others; order inside each block is untouched."""
-    sat = _sat_vector(model.worlds, formula)
-    same_block = sat[:, None] == sat
-    crossing = sat[:, None] & ~sat[None, :]
-    revised = (model.matrix & same_block) | crossing
+    sat = _sat_vector(model.worlds, formula)[:, None]
+    # across the two blocks a world is preferred iff it satisfies the formula
+    revised = np.where(sat == sat.T, model.matrix, sat)
     return RevisionOutcome(
         PreferenceModel(model.worlds, revised), "lexicographic", formula
     )
@@ -440,8 +441,7 @@ def natural_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     promoted, becoming the globally most preferred; the rest keep their
     relative order."""
     min_vec = _minimal(_sat_vector(model.worlds, formula), model.matrix)
-    kept = model.matrix & ~min_vec[:, None] & ~min_vec[None, :]
-    revised = min_vec[:, None] | kept
+    revised = min_vec[:, None] | (model.matrix & ~min_vec)
     return RevisionOutcome(
         PreferenceModel(model.worlds, revised), "natural", formula
     )

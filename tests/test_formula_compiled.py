@@ -1,5 +1,7 @@
 """The compiled formula functions against the recursive reference in
-``reference_formula``: same values, same verdicts, same errors."""
+``reference_formula``: same values, same verdicts, same errors. An unknown
+atom raises before any evaluation, as ``_check_atoms`` does ahead of the
+reference."""
 
 import os
 import subprocess
@@ -26,7 +28,7 @@ from beliefrev.errors import UnknownAtomError
 from beliefrev.formula import BOT, TOP, And, Atom, Iff, Implies, Not, Or, to_text
 from beliefrev.semantics import worlds_for_signature
 from beliefrev.files import parse_model_file
-from beliefrev.formula import _MEMO_SIZE, _memo
+from beliefrev.formula import _MEMO_SIZE, _check_atoms, _memo
 from beliefrev.semantics import _sat_vector
 from helpers import SIG_PQ, SIG_PQR
 
@@ -65,8 +67,13 @@ def outcome(fn, *args):
 @given(some_formulas(1))
 def test_eval_formula_matches_the_recursive_reference(fs):
     (f,) = fs
+
+    def reference(v):
+        _check_atoms(SIG_PQR, f)
+        return ref.eval_formula(f, v)
+
     for v in SIG_PQR.valuations():
-        assert outcome(eval_formula, f, v) == outcome(ref.eval_formula, f, v)
+        assert outcome(eval_formula, f, v) == outcome(reference, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,6 +92,8 @@ def test_sat_vector_matches_the_reference_on_shuffled_and_empty_worlds(fs, order
     worlds = order[:k]
 
     def reference():
+        if worlds:  # no worlds carry no signature, so nothing is evaluated
+            _check_atoms(SIG_PQR, f)
         return np.array([ref.eval_formula(f, w.valuation) for w in worlds], dtype=bool)
 
     assert outcome(_sat_vector, worlds, f) == outcome(reference)
@@ -113,13 +122,14 @@ def test_a_2000_term_chain_behaves_as_its_atom():
     assert out[0] == out[1]
 
 
-def test_unknown_atoms_raise_only_when_reached_and_non_formulas_at_once():
+def test_unknown_atoms_raise_unreached_and_non_formulas_at_once():
     v = Valuation(SIG_PQ, (True, False))
-    assert eval_formula(And(BOT, Atom("zz")), v) is False
-    with pytest.raises(UnknownAtomError) as caught:
-        eval_formula(Or(BOT, Atom("zz")), v)
-    assert caught.value.atom == "zz"
-    # the recursive evaluator never reached the junk operand; compiling does
+    for f in (And(BOT, Atom("zz")), Or(TOP, Atom("zz")), Or(BOT, Atom("zz"))):
+        with pytest.raises(UnknownAtomError) as caught:
+            eval_formula(f, v)
+        assert caught.value.atom == "zz"
+    # the recursive evaluator reaches neither zz nor the junk operand; compiling does
+    assert ref.eval_formula(And(BOT, Atom("zz")), v) is False
     assert ref.eval_formula(And(BOT, "junk"), v) is False
     with pytest.raises(TypeError, match="not a formula: 'junk'"):
         eval_formula(And(BOT, "junk"), v)

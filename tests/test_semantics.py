@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from beliefrev import (
     natural_revise,
 )
 from beliefrev.errors import ModelInvariantError
+from beliefrev.files import parse_model_file
 from beliefrev.formula import BOT, TOP
 from beliefrev.semantics import (
     enumerate_preorders,
@@ -251,3 +254,26 @@ def test_mixed_signatures_rejected():
     w2 = World("b", Valuation(other, (True, True, True)))
     with pytest.raises(ModelInvariantError):
         PreferenceModel.from_edges((w1, w2), [])
+
+
+@pytest.mark.parametrize("operator", [lex_revise, natural_revise])
+def test_revising_a_2048_world_chain_peaks_under_4_5_bytes_per_cell(operator):
+    # The peak is four n x n bool arrays: the revised relation, the model's
+    # owned copy and the two temporaries of its total-order test.
+    atoms = [f"a{i}" for i in range(11)]
+    n = 2 ** len(atoms)
+    lines = [f"atoms: {' '.join(atoms)}"]
+    for w in range(n):
+        bits = [w >> (len(atoms) - 1 - i) & 1 for i in range(len(atoms))]
+        lines.append(f"world w{w}: " + " & ".join(a if b else f"~{a}" for a, b in zip(atoms, bits)))
+    lines += [f"w{w} <= w{w + 1}" for w in range(n - 1)]
+    sig, model = parse_model_file("\n".join(lines))
+    by = f("a1", sig)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        operator(model, by)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / n**2 <= 4.5
