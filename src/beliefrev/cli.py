@@ -258,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "dot"):
-        args.dot = False
     try:
         return args.fn(args)
     except (OSError, BeliefRevError) as exc:

@@ -156,7 +156,18 @@ class Formula:
     def atoms(self) -> frozenset[str]:
         """The names of the atoms occurring in this formula, found without
         recursion, so at any nesting depth."""
-        return frozenset(_atom_names(self))
+        names, stack = set(), [self]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, Atom):
+                names.add(f.name)
+            elif isinstance(f, (And, Or, Implies, Iff)):
+                stack += (f.left, f.right)
+            elif isinstance(f, Not):
+                stack.append(f.operand)
+            elif not isinstance(f, (Top, Bot)):
+                raise TypeError(f"not a formula: {f!r}")
+        return frozenset(names)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -274,32 +285,6 @@ def _compiled(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
             del _memo[next(iter(_memo))]
         _memo[key] = (formula, _compile(formula, sig))
     return _memo[key][1]
-
-
-def _atom_names(formula: Formula) -> Iterator[str]:
-    """Atom occurrences from left to right, the order :func:`to_text` prints
-    them in, walked with an explicit stack rather than recursion."""
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            yield f.name
-        elif isinstance(f, (And, Or, Implies, Iff)):
-            stack += (f.right, f.left)
-        elif isinstance(f, Not):
-            stack.append(f.operand)
-        elif not isinstance(f, (Top, Bot)):
-            raise TypeError(f"not a formula: {f!r}")
-
-
-def _check_atoms(sig: Signature, *formulas: Formula) -> None:
-    """Raise :class:`UnknownAtomError` for the leftmost atom outside ``sig``,
-    the one :func:`parse` would name."""
-    known = sig.atoms
-    for f in formulas:
-        for atom in _atom_names(f):
-            if atom not in known:
-                raise UnknownAtomError(atom)
 
 
 def entails(premise: Formula, conclusion: Formula, sig: Signature) -> bool:

@@ -41,6 +41,7 @@ from .semantics import (
     World,
     _preorder_edges,
     _sat_table,
+    _tie_key,
     transitive_closure,
     worlds_for_signature,
 )
@@ -55,8 +56,12 @@ class PGraph:
     ``edges`` holds the stored generator edges. Their transitive closure is
     the effective order, kept as the read-only boolean :attr:`matrix` over
     ``node_ids``: entry ``[a, b]`` says node ``a`` is strictly more
-    important than node ``b``. Construction rejects edges to unknown nodes,
-    self-loops and cycles, so every graph is a strict partial order.
+    important than node ``b``. Construction is the only validity check, so
+    every graph is a strict partial order. It rejects an edge to an unknown
+    node with :class:`ValueError`, then a stored self-loop with
+    :class:`GraphSelfLoopError`, then a cycle with :class:`GraphCycleError`
+    and a shortest cycle of stored edges. Each names the first offending
+    node in node order, so the message does not depend on the hash seed.
     """
 
     def __init__(
@@ -74,7 +79,12 @@ class PGraph:
             len(index), [(index[a], index[b]) for a, b in self._edges]
         )
         self._matrix.setflags(write=False)
-        self.validate()
+        loop = next((n for n in self._labels if (n, n) in self._edges), None)
+        if loop is not None:
+            raise GraphSelfLoopError(loop)
+        on_cycle = self._matrix.diagonal()
+        if on_cycle.any():
+            raise GraphCycleError(self._find_cycle(self.node_ids[on_cycle.argmax()]))
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -115,23 +125,6 @@ class PGraph:
         """The transitive closure of the stored edges, as id pairs."""
         ids = self.node_ids
         return frozenset((ids[a], ids[b]) for a, b in zip(*np.nonzero(self._matrix)))
-
-    def validate(self) -> None:
-        """Confirm ``prec`` is a strict partial order. The constructor runs
-        this check, so it passes on every graph that exists.
-
-        Raises :class:`GraphSelfLoopError` for a stored self-loop and
-        :class:`GraphCycleError` (with an offending cycle) when the closure
-        is not irreflexive. Either names the first offending node in node
-        order, so the message does not depend on the hash seed.
-        """
-        ids = self.node_ids
-        for n in ids:
-            if (n, n) in self._edges:
-                raise GraphSelfLoopError(n)
-        on_cycle = self._matrix.diagonal()
-        if on_cycle.any():
-            raise GraphCycleError(self._find_cycle(ids[on_cycle.argmax()]))
 
     def _find_cycle(self, start: str) -> tuple[str, ...]:
         """A shortest cycle of stored edges through ``start``, found by a
@@ -205,9 +198,7 @@ def graphs_equivalent(g1: PGraph, g2: PGraph, sig: Signature) -> bool:
     """Do the two graphs induce the same canonical model? Since induced
     orders depend on worlds only through valuations, agreement on the
     canonical model implies agreement on every world set."""
-    m1 = canonical_model(g1, sig)
-    m2 = canonical_model(g2, sig)
-    return np.array_equal(m1.matrix, m2.matrix)
+    return canonical_model(g1, sig) == canonical_model(g2, sig)
 
 
 def _disjunction_of_minterms(valuations) -> Formula:
@@ -227,13 +218,14 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
 
     Requires the model to be valuation-respecting: worlds sharing a
     valuation must be tied, since induced orders cannot distinguish them.
-    Raises :class:`NotRepresentableError` otherwise.
+    Raises :class:`NotRepresentableError` otherwise, naming the least pair
+    of a valuation's first world and a later world not tied to it. Ties are
+    read off the tie key the model's constructor proved, in linear time.
     """
-    worlds, mat = model.worlds, model.matrix
-    # tied worlds have equal rows: compare each with its valuation's first
+    worlds, mat, tie = model.worlds, model.matrix, _tie_key(model)
     firsts: dict = {}
     first = np.array([firsts.setdefault(w.valuation, i) for i, w in enumerate(worlds)])
-    untied = np.flatnonzero((mat != mat[first]).any(1))
+    untied = np.flatnonzero(tie != tie[first])
     if len(untied):
         a, b = min(zip(first[untied], untied))
         raise NotRepresentableError(worlds[a].id, worlds[b].id)

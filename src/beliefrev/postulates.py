@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import WorldSetMismatchError
-from .formula import BOT, TOP, Formula, Signature, _check_atoms, entails, equivalent
+from .formula import BOT, TOP, Formula, Signature, _compiled, entails, equivalent
 from .pgraph import PGraph
 from .semantics import (
     PreferenceModel, _compose, _minimal, _sat_table, _sat_vector, _strict, _world_mismatch,
@@ -288,7 +288,8 @@ def cond_rec(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     that triple; the guarantee is for transformations satisfying the
     condition on all inputs.
     """
-    _check_atoms(sig, by, *before.labels.values(), *after.labels.values())
+    for formula in (by, *before.labels.values(), *after.labels.values()):
+        _compiled(formula, sig)  # raises at the leftmost unknown atom, in the documented order
     bad: list[tuple[str, str, str]] = []
     labels = after.labels
     # column j of the closed order marks the strict predecessors of node j

@@ -336,6 +336,12 @@ def _world_mismatch(a: PreferenceModel, b: PreferenceModel) -> str | None:
     return None
 
 
+def _tie_key(model: PreferenceModel) -> np.ndarray:
+    """One entry per world, equal exactly for tied worlds, as the
+    constructor proved: up-set sizes for a total preorder, else r."""
+    return model._up if model._rep is None else model._rep
+
+
 def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray | None]:
     """Tie classes in preference order, and the strict order between them.
 

@@ -23,7 +23,6 @@ from beliefrev.formula import (
     Signature,
     Top,
     Valuation,
-    _check_atoms,
     _NAME_RE,
     _prec,
     _PREC,
@@ -52,10 +51,26 @@ def eval_formula(formula: Formula, valuation: Valuation) -> bool:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def check_atoms(sig: Signature, *formulas: Formula) -> None:
+    """Raise :class:`UnknownAtomError` for the leftmost atom outside ``sig``,
+    the one ``parse`` would name, or :class:`TypeError` at a node that is
+    not a formula, whichever comes first from the left."""
+    for formula in formulas:
+        if isinstance(formula, Atom):
+            if formula.name not in sig:
+                raise UnknownAtomError(formula.name)
+        elif isinstance(formula, Not):
+            check_atoms(sig, formula.operand)
+        elif isinstance(formula, (And, Or, Implies, Iff)):
+            check_atoms(sig, formula.left, formula.right)
+        elif not isinstance(formula, (Top, Bot)):
+            raise TypeError(f"not a formula: {formula!r}")
+
+
 def entails(premise: Formula, conclusion: Formula, sig: Signature) -> bool:
     """True when every valuation over ``sig`` satisfying ``premise`` also
     satisfies ``conclusion`` (exhaustive sweep of all 2**n valuations)."""
-    _check_atoms(sig, premise, conclusion)
+    check_atoms(sig, premise, conclusion)
     return all(
         eval_formula(conclusion, v)
         for v in sig.valuations()
@@ -66,7 +81,7 @@ def entails(premise: Formula, conclusion: Formula, sig: Signature) -> bool:
 def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
     """Logical equivalence relative to ``sig``: equal truth value under
     every valuation. Coincides with mutual entailment."""
-    _check_atoms(sig, left, right)
+    check_atoms(sig, left, right)
     return all(
         eval_formula(left, v) == eval_formula(right, v) for v in sig.valuations()
     )

@@ -194,8 +194,6 @@ def cond_dp1(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     symmetrically for every transformed node not equivalent to the revision
     formula.
     """
-    before.validate()
-    after.validate()
     prec_before = before.prec()
     prec_after = after.prec()
     eq = lambda f, g: equivalent(And(by, f), And(by, g), sig)
@@ -258,8 +256,6 @@ def cond_dp2(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     negated revision formula, predecessors matched in the forward direction
     for original nodes and excused by the revision formula for transformed
     nodes."""
-    before.validate()
-    after.validate()
     neg = Not(by)
     prec_before = before.prec()
     prec_after = after.prec()
@@ -323,8 +319,6 @@ def cond_dp3(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     counterpart agreeing with it inside the revision formula (one-way
     entailments) whose new strict predecessors are the revision formula or
     counterparts of old strict predecessors."""
-    before.validate()
-    after.validate()
     neg = Not(by)
     prec_before = before.prec()
     prec_after = after.prec()
@@ -366,8 +360,6 @@ def cond_dp4(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     to the revision formula or corresponds to an original node, with old
     strict predecessors matched by new strict predecessors of the
     transformed node."""
-    before.validate()
-    after.validate()
     neg = Not(by)
     prec_before = before.prec()
     prec_after = after.prec()
@@ -414,8 +406,6 @@ def cond_rec(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     that triple; the guarantee is for transformations satisfying the
     condition on all inputs.
     """
-    before.validate()
-    after.validate()
     prec_after = after.prec()
     bad: list[tuple[str, str, str]] = []
 
@@ -443,8 +433,6 @@ def cond_ind(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     """Sufficient condition for independence: the DP-4 style correspondence
     plus, for transformed nodes not entailing the revision formula, a
     strict predecessor equivalent to it."""
-    before.validate()
-    after.validate()
     neg = Not(by)
     prec_before = before.prec()
     prec_after = after.prec()

@@ -31,6 +31,9 @@ w_q <= w_0
 """
 
 
+FOUR_NODES = "atoms: p q\nnode a: p\nnode b: q\nnode c: p\nnode d: q\n"
+
+
 @pytest.fixture
 def graph_file(tmp_path):
     path = tmp_path / "chain.pg"
@@ -180,9 +183,21 @@ def test_induce_reports_parse_errors(capsys, tmp_path):
     assert "line 3" in err
 
 
-def test_cycle_error_is_the_same_under_every_hash_seed(tmp_path):
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("atoms: p q\nnode a: p\nnode b: q\nnode c: p\na < b\nb < c\nc < b\n",
+         "preference cycle: b < c < b"),
+        # self-loops are found before cycles
+        (FOUR_NODES + "a < b\nb < a\nc < c\n", "self-loop on node 'c'"),
+        # the cycle runs through the first node on one
+        (FOUR_NODES + "c < d\nd < c\na < b\nb < a\n", "preference cycle: a < b < a"),
+    ],
+    ids=["cycle", "self-loop-first", "first-node-cycle"],
+)
+def test_cycle_error_is_the_same_under_every_hash_seed(tmp_path, text, error):
     path = tmp_path / "cycle.pg"
-    path.write_text("atoms: p q\nnode a: p\nnode b: q\nnode c: p\na < b\nb < c\nc < b\n")
+    path.write_text(text)
     src = str(Path(beliefrev.__file__).parent.parent)
     errs = set()
     for seed in ("1", "2"):
@@ -193,7 +208,7 @@ def test_cycle_error_is_the_same_under_every_hash_seed(tmp_path):
         )
         assert done.returncode == 2
         errs.add(done.stderr)
-    assert errs == {"error: preference cycle: b < c < b\n"}
+    assert errs == {f"error: {error}\n"}
 
 
 def test_induce_empty_graph_single_tie_class(capsys, tmp_path):
@@ -253,6 +268,29 @@ def test_running_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch, 
     assert (code, out) == (2, "")
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+def test_running_out_of_memory_under_an_address_space_limit_exits_2(tmp_path):
+    resource = pytest.importorskip("resource")
+    n = 6000  # a 36 MB relation, and several n x n arrays to revise it
+    path = tmp_path / "big.model"
+    worlds = "".join(f"world w{i}: p\n" for i in range(n))
+    chain = "".join(f"w{i} <= w{i + 1}\n" for i in range(n - 1))
+    path.write_text("atoms: p\n" + worlds + chain)
+    limit = 250 * 2**20
+
+    def limit_the_child():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(beliefrev.__file__).parent.parent)
+    # one BLAS thread, so numpy still imports under the limit
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "beliefrev.cli", "revise", str(path), "--op", "lex", "--by", "p"],
+        env=env, capture_output=True, text=True, preexec_fn=limit_the_child, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: out of memory; the input is too large for this machine\n"
 
 
 def test_deeply_nested_formulas_are_input_errors(capsys, tmp_path, model_file):

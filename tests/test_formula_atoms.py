@@ -1,4 +1,5 @@
-"""Atom collection: one left-to-right walk, no recursion, no hash order."""
+"""Atoms: ``Formula.atoms()`` walks without recursion, and the compiler
+names the leftmost unknown atom, with no hash order."""
 
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import beliefrev
 from beliefrev.errors import UnknownAtomError
 from beliefrev.formula import BOT, TOP, And, Atom, Iff, Implies, Not, Or, to_text
-from beliefrev.formula import _check_atoms
+from beliefrev.formula import _compiled
 from helpers import SIG_PQ, oracle_atoms
 
 NAME_UNKNOWN = """
@@ -71,8 +72,8 @@ def test_atoms_match_the_oracle_and_the_leftmost_unknown_atom_is_named(formula):
     words = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", to_text(formula))
     unknown = [w for w in words if w not in ("T", "F") and w not in SIG_PQ]
     if not unknown:
-        _check_atoms(SIG_PQ, formula)
+        _compiled(formula, SIG_PQ)
         return
     with pytest.raises(UnknownAtomError) as caught:
-        _check_atoms(SIG_PQ, formula)
+        _compiled(formula, SIG_PQ)
     assert caught.value.atom == unknown[0]

@@ -1,7 +1,7 @@
 """The compiled formula functions against the recursive reference in
 ``reference_formula``: same values, same verdicts, same errors. An unknown
-atom raises before any evaluation, as ``_check_atoms`` does ahead of the
-reference."""
+atom raises before any evaluation, as the reference's own ``check_atoms``
+does ahead of its evaluator."""
 
 import os
 import subprocess
@@ -28,7 +28,7 @@ from beliefrev.errors import UnknownAtomError
 from beliefrev.formula import BOT, TOP, And, Atom, Iff, Implies, Not, Or, to_text
 from beliefrev.semantics import worlds_for_signature
 from beliefrev.files import parse_model_file
-from beliefrev.formula import _MEMO_SIZE, _check_atoms, _memo
+from beliefrev.formula import _MEMO_SIZE, _memo
 from beliefrev.semantics import _sat_vector
 from helpers import SIG_PQ, SIG_PQR
 
@@ -69,7 +69,7 @@ def test_eval_formula_matches_the_recursive_reference(fs):
     (f,) = fs
 
     def reference(v):
-        _check_atoms(SIG_PQR, f)
+        ref.check_atoms(SIG_PQR, f)
         return ref.eval_formula(f, v)
 
     for v in SIG_PQR.valuations():
@@ -93,7 +93,7 @@ def test_sat_vector_matches_the_reference_on_shuffled_and_empty_worlds(fs, order
 
     def reference():
         if worlds:  # no worlds carry no signature, so nothing is evaluated
-            _check_atoms(SIG_PQR, f)
+            ref.check_atoms(SIG_PQR, f)
         return np.array([ref.eval_formula(f, w.valuation) for w in worlds], dtype=bool)
 
     assert outcome(_sat_vector, worlds, f) == outcome(reference)

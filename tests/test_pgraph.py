@@ -59,16 +59,12 @@ def reordered_four_chain():
 # --- validation -----------------------------------------------------------------
 
 
-def test_validate_accepts_a_simple_graph():
-    graph({"a": "p", "b": "q"}, [("a", "b")]).validate()
-
-
 def test_validate_reports_cycles_and_self_loops():
     with pytest.raises(GraphCycleError) as err:
-        graph({"a": "p", "b": "q"}, [("a", "b"), ("b", "a")]).validate()
+        graph({"a": "p", "b": "q"}, [("a", "b"), ("b", "a")])
     assert set(err.value.cycle) >= {"a", "b"}
     with pytest.raises(GraphSelfLoopError):
-        graph({"a": "p"}, [("a", "a")]).validate()
+        graph({"a": "p"}, [("a", "a")])
 
 
 def test_construction_rejects_cycles_and_self_loops():
@@ -117,7 +113,6 @@ def test_order_matrix_and_prec_match_warshall(g):
 
 def test_closure_is_computed_from_stored_edges():
     g = graph({"a": "p", "b": "q", "c": "p | q"}, [("a", "b"), ("b", "c")])
-    g.validate()
     assert ("a", "c") in g.prec()
     assert ("a", "c") not in g.edges
 
@@ -374,6 +369,36 @@ def test_graph_from_preorder_names_the_first_untied_pair_in_row_order():
     with pytest.raises(NotRepresentableError) as err:
         graph_from_preorder(m)
     assert err.value.pair == ("a0", "a1")
+
+
+@st.composite
+def models_sharing_valuations(draw):
+    """Closures of random edges over up to 6 worlds drawn from 2 valuations,
+    so both total and partial preorders, with and without untied twins."""
+    vals = list(SIG_PQ.valuations())[:2]
+    picks = draw(st.lists(st.sampled_from(vals), min_size=1, max_size=6))
+    worlds = tuple(World(f"w{i}", v) for i, v in enumerate(picks))
+    ids = st.sampled_from([w.id for w in worlds])
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=8))
+    return PreferenceModel.from_edges(worlds, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_sharing_valuations())
+def test_graph_from_preorder_names_the_least_untied_pair_on_any_preorder(m):
+    mat, firsts = m.matrix, {}
+    untied = [
+        (a, i)
+        for i, w in enumerate(m.worlds)
+        if not (mat[(a := firsts.setdefault(w.valuation, i)), i] and mat[i, a])
+    ]
+    if not untied:
+        assert induce_model(graph_from_preorder(m), m.worlds) == m
+        return
+    with pytest.raises(NotRepresentableError) as err:
+        graph_from_preorder(m)
+    a, b = min(untied)
+    assert err.value.pair == (m.worlds[a].id, m.worlds[b].id)
 
 
 def test_round_trip_on_every_trio_preorder():

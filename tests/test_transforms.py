@@ -46,7 +46,6 @@ def test_prefix_adds_a_root_above_everything():
     assert out.labels.keys() - {root} == set(g.node_ids)
     assert (root, "a") in out.edges and (root, "b") in out.edges
     assert ("a", "b") in out.edges
-    out.validate()
 
 
 def test_prefix_of_empty_graph_is_a_singleton():
@@ -67,7 +66,6 @@ def test_prefix_keeps_original_nodes_and_edges():
 def test_prefix_never_self_loops_even_on_duplicate_labels():
     g = graph({"n0": "~p"})
     out = prefix(g, f("~p"))
-    out.validate()
     assert len(out) == 2
 
 
