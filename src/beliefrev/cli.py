@@ -51,9 +51,9 @@ def _sniff(text: str) -> str:
     raise BeliefRevError("file declares neither nodes nor worlds")
 
 
-def _model_json(sig: Signature, model: PreferenceModel) -> dict:
+def _model_json(model: PreferenceModel) -> dict:
     return {
-        "atoms": list(sig),
+        "atoms": list(model.signature),
         "worlds": [
             {"id": w.id, "valuation": w.valuation.as_dict()} for w in model.worlds
         ],
@@ -72,13 +72,13 @@ def _graph_json(sig: Signature, graph: PGraph) -> dict:
     }
 
 
-def _emit_model(sig: Signature, model: PreferenceModel, args) -> None:
+def _emit_model(model: PreferenceModel, args) -> None:
     if args.json:
-        print(json.dumps(_model_json(sig, model), indent=2))
+        print(json.dumps(_model_json(model), indent=2))
     elif args.dot:
         print(model_to_dot(model), end="")
     else:
-        print(dump_model(sig, model), end="")
+        print(dump_model(model), end="")
 
 
 def _emit_graph(sig: Signature, graph: PGraph, args) -> None:
@@ -92,7 +92,7 @@ def _emit_graph(sig: Signature, graph: PGraph, args) -> None:
 
 def _cmd_induce(args) -> int:
     sig, graph = parse_graph_file(_read(args.graph))
-    _emit_model(sig, canonical_model(graph, sig), args)
+    _emit_model(canonical_model(graph, sig), args)
     return 0
 
 
@@ -120,7 +120,7 @@ def _cmd_revise(args) -> int:
     sig, model = parse_model_file(text)
     by = parse(args.by, sig)
     operator = {"lex": lex_revise, "natural": natural_revise, "null": null_change}[args.op]
-    _emit_model(sig, operator(model, by).model, args)
+    _emit_model(operator(model, by).model, args)
     return 0
 
 
@@ -141,19 +141,7 @@ def _cmd_check(args) -> int:
             raise BeliefRevError("no postulates selected")
     reports = postulates(before, by, after, names)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "postulate": r.postulate,
-                        "holds": r.holds,
-                        "witnesses": [list(w) for w in r.witnesses],
-                    }
-                    for r in reports
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([vars(r) for r in reports], indent=2))
     else:
         for r in reports:
             if r.holds:

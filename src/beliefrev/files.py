@@ -173,11 +173,12 @@ def dump_graph(sig: Signature, graph: PGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_model(sig: Signature, model: PreferenceModel) -> str:
-    """Render a model file: worlds listed most preferred first, tie classes
-    written as edge cycles, classes linked by their representatives."""
+def dump_model(model: PreferenceModel) -> str:
+    """Render a model file under the atoms of its worlds' signature: worlds
+    listed most preferred first, tie classes written as edge cycles,
+    classes linked by their representatives."""
     classes, edges = _generators(model)
-    lines = [f"atoms: {' '.join(sig)}"]
+    lines = [f"atoms: {' '.join(model.signature)}"]
     lines.append(f"# preference order: {_describe(classes)}")
     for group in classes:
         for world_id in group:

@@ -5,9 +5,13 @@ Each formula is compiled once into a short-circuiting function of a
 valuation's bits; runs of & and of | compile flat. An atom outside the
 signature is an input error (UnknownAtomError) wherever a formula is parsed
 or compiled, reached or not. Nesting is bounded twice, both times as an
-input error: parsing stops near 490 parenthesis levels (FormulaSyntaxError),
-and evaluation at Python's compiler limit (ResourceBoundError). The concrete
-syntax is plain ASCII so that graph and model files stay hand-writable:
+input error: evaluation at Python's compiler limit (ResourceBoundError),
+and parsing at its recursion limit (FormulaSyntaxError). Called at the top
+of a fresh Python 3.11.7 interpreter, parsing takes 496 bare parentheses,
+331 levels of ``(p -> (p -> ... q))``, 993 ``~`` or a 994-term ``->``
+chain, fewer under deeper callers (346 parentheses under 300 frames); runs
+of & and | cost no depth. The syntax is plain ASCII, so files stay
+hand-writable:
 
     ~  !      negation
     &         conjunction
@@ -410,8 +414,8 @@ def parse(text: str, sig: Signature) -> Formula:
     associativity that :func:`to_text` prints with.
 
     Raises :class:`FormulaSyntaxError` with a 1-based character position for
-    malformed or too deeply nested input (see the module docstring) and
-    :class:`UnknownAtomError` for undeclared atoms.
+    malformed input or nesting past the recursion limit (bounds measured in
+    the module docstring) and :class:`UnknownAtomError` for undeclared atoms.
     """
     parser = _Parser(text, sig)
     try:

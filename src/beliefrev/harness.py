@@ -20,7 +20,7 @@ assertions hold.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -80,16 +80,7 @@ class DemoReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "demo": self.demo,
-            "steps": list(self.steps),
-            "assertions": [
-                {"description": a.description, "holds": a.holds}
-                for a in self.assertions
-            ],
-            "data": self.data,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 def demo_fact_cb() -> DemoReport:

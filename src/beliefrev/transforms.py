@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .errors import ResourceBoundError
 from .formula import Formula, Signature
 from .pgraph import (
     PGraph,
@@ -117,6 +118,8 @@ def relevance_check(
     verdict carries a re-verified witness; the absence of one only means
     the sample was consistent.
     """
+    if node_bound < 0:
+        raise ResourceBoundError(f"node bound {node_bound} is negative")
     candidates: list[tuple[PGraph, PGraph]] = []
     for a, b in pairs:
         if not graphs_equivalent(a, b, sig):

@@ -305,6 +305,18 @@ def test_deeply_nested_formulas_are_input_errors(capsys, tmp_path, model_file):
     assert err.startswith("error: line 2: formula is nested too deeply")
 
 
+def test_250_levels_of_parenthesised_operands_parse_in_a_fresh_interpreter(model_file):
+    """Under the documented bound of about 330 levels of ``(p -> (...))``."""
+    deep = "(p -> " * 250 + "q" + ")" * 250
+    src = str(Path(beliefrev.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "beliefrev.cli", "revise", model_file, "--op", "lex", "--by", deep],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("atoms: p q\n")
+
+
 def test_negation_chains_across_the_parse_limit_are_answered_or_refused(
     capsys, tmp_path, model_file
 ):
@@ -472,6 +484,28 @@ def test_check_prints_what_the_per_postulate_path_prints(
             assert aligned_once[0] == 2 and "world set" in aligned_once[2]
         else:
             assert aligned_once[0] == 1 and aligned_once[1]
+
+
+# Report outputs pinned byte for byte: the ties5 pair fails every postulate,
+# several with more than five witnesses, and faithfulness with single ids.
+DATA = Path(__file__).parent / "data"
+TIES5_PAIR = ["--before", str(DATA / "ties5.model"), "--after", str(DATA / "ties5_natural.model")]
+REPORT_GOLDENS = {
+    "ties5_natural.model": (0, ["revise", str(DATA / "ties5.model"), "--op", "natural", "--by", "r | ~q"]),
+    "check_ties5.txt": (1, ["check", *TIES5_PAIR, "--by", "p & s"]),
+    "check_ties5.json": (1, ["check", *TIES5_PAIR, "--by", "p & s", "--json"]),
+    "demo_fact_cb.json": (0, ["demo", "fact-cb", "--json"]),
+    "demo_fact_min.json": (0, ["demo", "fact-min", "--graph", str(DATA / "chain2.pg"), "--by", "~p", "--json"]),
+    "demo_harmony.json": (0, ["demo", "harmony", "--bound", "2", "--json"]),
+}
+
+
+@pytest.mark.parametrize("golden", list(REPORT_GOLDENS))
+def test_reports_match_their_golden_output(capsys, golden):
+    expected_code, argv = REPORT_GOLDENS[golden]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (expected_code, "")
+    assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
 # --- equiv --------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_graph_dump_round_trip():
 
 def test_model_dump_round_trip_total_and_tied():
     for m in (chain_fixture(), all_equal_fixture()):
-        _, back = parse_model_file(dump_model(SIG_PQ, m))
+        _, back = parse_model_file(dump_model(m))
         assert back == m
 
 
@@ -127,12 +127,12 @@ def test_model_dump_round_trip_partial_order():
     m = PreferenceModel.from_edges(
         worlds, [("w_pq", "w_p"), ("w_pq", "w_q"), ("w_pq", "w_0")]
     )
-    _, back = parse_model_file(dump_model(SIG_PQ, m))
+    _, back = parse_model_file(dump_model(m))
     assert back == m
 
 
 def test_model_dump_lists_worlds_most_preferred_first():
-    lines = dump_model(SIG_PQ, chain_fixture()).splitlines()
+    lines = dump_model(chain_fixture()).splitlines()
     world_lines = [l for l in lines if l.startswith("world ")]
     assert len(world_lines) == 4
     assert world_lines[0].startswith("world w_pq:")

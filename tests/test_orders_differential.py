@@ -25,7 +25,7 @@ FORMULAS = pool() + (TOP, BOT)
 def assert_same_queries(model, other):
     assert model.tie_classes() == reference.tie_classes(model)
     assert model.describe_order() == reference.describe_order(model)
-    assert dump_model(SIG_PQ, model) == reference.dump_model(SIG_PQ, model)
+    assert dump_model(model) == reference.dump_model(SIG_PQ, model)
     assert model_to_dot(model) == reference.model_to_dot(model)
     for formula in FORMULAS:
         assert min_worlds(model, formula) == reference.min_worlds(model, formula)
@@ -144,7 +144,7 @@ def large_total_preorders(draw):
 def test_large_total_preorders_match_the_loop_reference(model):
     assert model.tie_classes() == reference.tie_classes(model)
     assert model.describe_order() == reference.describe_order(model)
-    assert dump_model(SIG_PQ, model) == reference.dump_model(SIG_PQ, model)
+    assert dump_model(model) == reference.dump_model(SIG_PQ, model)
     assert model_to_dot(model) == reference.model_to_dot(model)
 
 

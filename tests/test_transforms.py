@@ -10,7 +10,7 @@ from beliefrev import (
     Valuation,
     World,
 )
-from beliefrev.errors import NotRepresentableError
+from beliefrev.errors import NotRepresentableError, ResourceBoundError
 from beliefrev.pgraph import enumerate_pgraphs
 from beliefrev.transforms import (
     GraphTransformation,
@@ -217,3 +217,8 @@ def test_relevance_check_finds_the_inconsistent_hand_crafted_map():
 def test_relevance_check_rejects_non_equivalent_input_pairs():
     with pytest.raises(ValueError):
         relevance_check(PREFIX, [(p_before_q(), reordered_four_chain())], [f("p")], SIG_PQ)
+
+
+def test_relevance_check_rejects_a_negative_node_bound():
+    with pytest.raises(ResourceBoundError, match="node bound -1 is negative"):
+        relevance_check(PREFIX, [], pool(), SIG_PQ, node_bound=-1)
