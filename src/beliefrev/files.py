@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 
 from .errors import BeliefRevError, FileFormatError, ResourceBoundError
-from .formula import Formula, Signature, Valuation, parse, to_text
+from .formula import Formula, Signature, Valuation, _compiled, parse, to_text
 from .pgraph import PGraph
 from .semantics import PreferenceModel, World, _describe, _generators
 
@@ -165,8 +165,12 @@ def parse_model_file(text: str) -> tuple[Signature, PreferenceModel]:
 
 
 def dump_graph(sig: Signature, graph: PGraph) -> str:
+    """Render a graph file under ``sig``. A label atom outside ``sig``, which
+    the file could not declare, raises :class:`UnknownAtomError`: the
+    leftmost in the first such label, in node order."""
     lines = [f"atoms: {' '.join(sig)}"]
     for node in graph.node_ids:
+        _compiled(graph.label(node), sig)
         lines.append(f"node {node}: {to_text(graph.label(node))}")
     for a, b in sorted(graph.edges):
         lines.append(f"{a} < {b}")

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import ast
 import itertools
+import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -49,7 +51,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 class Signature:
     """Ordered set of atom names; all semantic notions are relative to it."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "literals")
 
     def __init__(self, atoms: Iterable[str]):
         atoms = tuple(atoms)
@@ -69,6 +71,7 @@ class Signature:
                 raise SignatureError(f"duplicate atom {name!r}")
             seen.add(name)
         self.atoms = atoms
+        self.literals = tuple((f"~{a}", a) for a in atoms)  # indexed by a bit
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -97,22 +100,25 @@ class Signature:
     def valuations(self) -> Iterator["Valuation"]:
         """All valuations, in a fixed order: first atom most significant,
         true before false. This order is the canonical world order used
-        throughout the package."""
-        for bits in itertools.product((True, False), repeat=len(self.atoms)):
-            yield Valuation(self, bits)
+        throughout the package. The rows are built in C, unchecked: each has
+        the signature's length by construction."""
+        rows = zip(itertools.repeat(self), itertools.product((True, False), repeat=len(self.atoms)))
+        return map(tuple.__new__, itertools.repeat(Valuation), rows)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(namedtuple("Valuation", "signature bits")):
     """Total truth assignment over a signature: bits are bools, one per
-    atom in signature order."""
+    atom in signature order. Immutable, and equal and hashed by
+    ``(signature, bits)``; being a tuple, it also equals that plain tuple,
+    has length 2 and iterates over its two fields."""
 
-    signature: Signature
-    bits: tuple[bool, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if len(self.bits) != len(self.signature.atoms):
+    def __new__(cls, signature: Signature, bits: tuple[bool, ...]) -> "Valuation":
+        if len(bits) != len(signature.atoms):
             raise ValueError("valuation must assign every atom of the signature")
+        return tuple.__new__(cls, (signature, bits))
 
     @classmethod
     def from_dict(cls, signature: Signature, assignment: Mapping[str, bool]) -> "Valuation":
@@ -131,13 +137,11 @@ class Valuation:
         return dict(zip(self.signature.atoms, self.bits))
 
     def true_atoms(self) -> tuple[str, ...]:
-        return tuple(a for a, b in zip(self.signature.atoms, self.bits) if b)
+        return tuple(itertools.compress(self.signature.atoms, self.bits))
 
     def describe(self) -> str:
         """Render as a literal conjunction, e.g. ``p & ~q``."""
-        return " & ".join(
-            a if b else f"~{a}" for a, b in zip(self.signature.atoms, self.bits)
-        )
+        return " & ".join(map(operator.getitem, self.signature.literals, self.bits))
 
     def minterm(self) -> "Formula":
         """The full conjunction of literals true exactly at this valuation."""
@@ -231,6 +235,7 @@ def eval_formula(formula: Formula, valuation: Valuation) -> bool:
     return _compiled(formula, valuation.signature)(valuation.bits)
 
 
+_BITS = operator.attrgetter("bits")
 _MEMO_SIZE = 128
 _memo: dict[tuple[int, tuple[str, ...]], tuple[Formula, Callable[[tuple], bool]]] = {}
 _AT = {"lineno": 1, "col_offset": 0}  # compile() wants a position on every node
@@ -295,14 +300,15 @@ def entails(premise: Formula, conclusion: Formula, sig: Signature) -> bool:
     """True when every valuation over ``sig`` satisfying ``premise`` also
     satisfies ``conclusion`` (exhaustive sweep of all 2**n valuations)."""
     p, c = _compiled(premise, sig), _compiled(conclusion, sig)
-    return all(c(v.bits) for v in sig.valuations() if p(v.bits))
+    return all(map(c, filter(p, map(_BITS, sig.valuations()))))
 
 
 def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
     """Logical equivalence relative to ``sig``: equal truth value under
     every valuation. Coincides with mutual entailment."""
     f, g = _compiled(left, sig), _compiled(right, sig)
-    return all(f(v.bits) == g(v.bits) for v in sig.valuations())
+    a, b = itertools.tee(map(_BITS, sig.valuations()))  # buffers one row
+    return all(map(operator.eq, map(f, a), map(g, b)))
 
 
 # --- printing ---------------------------------------------------------------

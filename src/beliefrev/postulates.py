@@ -21,8 +21,8 @@ the signature, in the revision formula, then the original labels, then the
 transformed labels.
 
 The syntactic checkers cost 2^n per label for n atoms, with no bound below
-the signature's 20: at 18 atoms on a 2-node graph, ``cond_dp1`` took 1.5 to
-2.0 s and 153 MB peak RSS, ``cond_rec`` 1.0 to 1.3 s (2-core x86-64 Linux).
+the signature's 20: at 18 atoms on a 2-node graph, ``cond_dp1`` took 1.4 to
+1.7 s and 145 MB peak RSS, ``cond_rec`` 0.4 to 0.6 s (2-core x86-64 Linux).
 """
 
 from __future__ import annotations

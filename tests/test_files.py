@@ -3,8 +3,8 @@ import textwrap
 import pytest
 
 import beliefrev.files
-from beliefrev import PreferenceModel
-from beliefrev.errors import FileFormatError, GraphCycleError, ResourceBoundError
+from beliefrev import PGraph, PreferenceModel, Signature
+from beliefrev.errors import FileFormatError, GraphCycleError, ResourceBoundError, UnknownAtomError
 from beliefrev.files import (
     dump_graph,
     dump_model,
@@ -13,6 +13,7 @@ from beliefrev.files import (
     parse_graph_file,
     parse_model_file,
 )
+from beliefrev.formula import Atom, Or
 from helpers import SIG_PQ, all_equal_fixture, chain_fixture, f, graph
 
 CHAIN_GRAPH = """\
@@ -111,6 +112,15 @@ def test_graph_dump_round_trip():
     sig2, back = parse_graph_file(dump_graph(SIG_PQ, g))
     assert back == g
     assert sig2 == SIG_PQ
+
+
+def test_graph_dump_rejects_a_label_atom_its_file_could_not_declare():
+    labels = {"a": Atom("p"), "b": Or(Atom("q"), Atom("r")), "c": Atom("s")}
+    with pytest.raises(UnknownAtomError) as err:
+        dump_graph(Signature(["p"]), PGraph(labels, {("a", "b")}))
+    assert err.value.atom == "q"
+    with pytest.raises(UnknownAtomError, match="'q'"):
+        dump_graph(Signature(["p"]), PGraph({"b": Atom("q")}, set()))
 
 
 def test_model_dump_round_trip_total_and_tied():

@@ -1,7 +1,13 @@
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_formula
 from beliefrev import Signature, Valuation, entails, equivalent, eval_formula, parse
 from beliefrev.errors import (
     FormulaSyntaxError,
@@ -46,6 +52,49 @@ def test_valuation_from_dict_totality():
         Valuation.from_dict(SIG_PQ, {"p": True})
     with pytest.raises(UnknownAtomError):
         Valuation.from_dict(SIG_PQ, {"p": True, "q": False, "r": True})
+
+
+def test_valuation_is_an_immutable_value():
+    v = val(1, 0)
+    for field in ("bits", "signature", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, field, (True, True))
+    same = Valuation(Signature(["p", "q"]), (True, False))
+    assert v == same and hash(v) == hash(same) and len({v, same}) == 1
+    assert v != val(0, 0)
+    assert v != Valuation(Signature(["q", "p"]), (True, False))
+    with pytest.raises(ValueError, match=r"^valuation must assign every atom of the signature$"):
+        Valuation(SIG_PQ, (True,))
+    with pytest.raises(ValueError):
+        v._replace(bits=(True,))
+    assert v._replace(bits=(False, False)) == val(0, 0)
+    assert repr(v) == "Valuation(signature=Signature(p, q), bits=(True, False))"
+
+
+def test_valuation_copies_go_through_the_checked_constructor():
+    v = val(0, 1)
+    for back in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        assert back == v and type(back) is Valuation
+    rebuild, args = v.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    assert rebuild(*args) == v
+    with pytest.raises(ValueError):
+        rebuild(Valuation, SIG_PQ, (True,))
+
+
+def test_valuation_equals_its_plain_tuple():
+    # the documented price of a tuple-backed record
+    v = val(1, 1)
+    assert v == (SIG_PQ, (True, True)) and hash(v) == hash((SIG_PQ, (True, True)))
+    assert len(v) == 2 and tuple(v) == (SIG_PQ, (True, True))
+
+
+def test_swept_valuations_equal_checked_ones():
+    sig = Signature(["p", "q", "r"])
+    rows = list(sig.valuations())
+    bits = list(itertools.product((True, False), repeat=3))
+    assert rows == [Valuation(sig, b) for b in bits]
+    assert all(type(v) is Valuation and v.signature is sig for v in rows)
+    assert [v.describe() for v in rows[5:7]] == ["~p & q & ~r", "~p & ~q & r"]
 
 
 # --- grammar ------------------------------------------------------------------
@@ -171,3 +220,52 @@ def test_equivalence_is_an_equivalence_relation():
             for c in pool:
                 if equivalent(a, b, SIG_PQ) and equivalent(b, c, SIG_PQ):
                     assert equivalent(a, c, SIG_PQ)
+
+
+# --- the sweep's early exit ---------------------------------------------------
+
+
+@st.composite
+def signed_pairs(draw):
+    """A signature of 1-6 atoms and two random formulas over it."""
+    sig = Signature([f"a{i}" for i in range(draw(st.integers(1, 6)))])
+    leaves = st.one_of(st.sampled_from(sig.atoms).map(Atom), st.sampled_from((TOP, BOT)))
+
+    def extend(sub):
+        binary = st.tuples(st.sampled_from((And, Or, Implies, Iff)), sub, sub)
+        return st.one_of(sub.map(Not), binary.map(lambda t: t[0](t[1], t[2])))
+
+    formulas = st.recursive(leaves, extend, max_leaves=10)
+    return sig, draw(formulas), draw(formulas)
+
+
+def drawn(sweep, *args):
+    """The verdict of ``sweep(*args)`` and the rows it drew from
+    ``Signature.valuations``, counted by a wrapper as the benchmark counts."""
+    original, count = Signature.__dict__["valuations"], 0
+
+    def counted(self):
+        nonlocal count
+        for row in original(self):
+            count += 1
+            yield row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Signature, "valuations", counted)
+        return sweep(*args), count
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_pairs())
+def test_a_sweep_stops_at_its_first_counter_valuation(case):
+    sig, f, g = case
+    rows = [dict(zip(sig.atoms, bits)) for bits in itertools.product((True, False), repeat=len(sig))]
+    truth = reference_formula.eval_formula
+    for sweep, fails in (
+        (equivalent, lambda row: truth(f, row) != truth(g, row)),
+        (entails, lambda row: truth(f, row) and not truth(g, row)),
+    ):
+        stop = next((i for i, row in enumerate(rows) if fails(row)), None)
+        expected = (True, len(rows)) if stop is None else (False, stop + 1)
+        assert drawn(sweep, f, g, sig) == expected
+        assert drawn(sweep, f, f, sig) == (True, len(rows))
