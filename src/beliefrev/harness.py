@@ -11,7 +11,8 @@ Three entry points:
   finding two induced models with contradictory requirements on one
   valuation.
 * :func:`sweep_harmony` checks exhaustively that prefixing a graph agrees
-  with lexicographic revision of its canonical model.
+  with lexicographic revision of its canonical model. It induces, revises
+  and proves the orders of a whole stack of graphs at once.
 
 Each demo re-runs every assertion it reports; the verdict is true iff all
 assertions hold.
@@ -33,15 +34,18 @@ from .pgraph import (
     enumerate_pgraphs,
     graph_from_preorder,
     induce_model,
+    induced_orders,
 )
 from .postulates import check_cb, check_faith
 from .semantics import (
     PreferenceModel,
     World,
+    _compose,
     _minimal,
+    _sat_table,
     _sat_vector,
-    lex_revise,
     natural_revise,
+    worlds_for_signature,
 )
 from .transforms import prefix
 
@@ -268,6 +272,11 @@ def demo_fact_min(graph: PGraph, by: Formula, sig: Signature) -> DemoReport:
     return report
 
 
+# Instances per stack: one stack of the default pool's bound-3 sweep holds
+# all 716 graphs, and a large ``--pool`` is swept in stacks of this size.
+HARMONY_STACK_INSTANCES = 4096
+
+
 def sweep_harmony(
     bound: int, sig: Signature, pool: Sequence[Formula]
 ) -> DemoReport:
@@ -275,7 +284,10 @@ def sweep_harmony(
     revision through the canonical model: for every graph over ``pool``
     with at most ``bound`` nodes and every pool formula, the canonical
     model of the prefixed graph equals the lexicographic revision of the
-    original canonical model."""
+    original canonical model.
+
+    Graphs are enumerated and prefixed one by one, then checked as a stack
+    (:func:`_harmony_mismatches`)."""
     if bound < 0:
         raise ResourceBoundError(f"node bound {bound} is negative")
     if bound > 3:
@@ -288,14 +300,11 @@ def sweep_harmony(
     )
     instances = 0
     mismatches: list[tuple[str, str]] = []
-    for graph in enumerate_pgraphs(pool, bound):
-        base = canonical_model(graph, sig)
-        for f in pool:
-            instances += 1
-            via_graph = canonical_model(prefix(graph, f), sig)
-            via_model = lex_revise(base, f).model
-            if via_graph != via_model:
-                mismatches.append((repr(graph), to_text(f)))
+    graphs = enumerate_pgraphs(pool, bound)
+    per_stack = max(1, HARMONY_STACK_INSTANCES // max(1, len(pool)))
+    while chunk := list(itertools.islice(graphs, per_stack)):
+        instances += len(chunk) * len(pool)
+        mismatches += _harmony_mismatches(chunk, sig, pool)
     report.steps.append(f"checked {instances} (graph, formula) instances")
     report.check(
         f"prefixing agrees with lexicographic revision on all {instances} instances",
@@ -309,3 +318,47 @@ def sweep_harmony(
         "atoms": list(sig),
     }
     return report
+
+
+def _harmony_mismatches(
+    graphs: list[PGraph], sig: Signature, pool: Sequence[Formula]
+) -> list[tuple[str, str]]:
+    """The (graph, formula) pairs, in that order, where the canonical order
+    of ``prefix(graph, formula)`` differs from the lexicographic revision of
+    the graph's canonical order by ``formula``.
+
+    The stack holds each graph followed by its prefixed graphs, and each
+    distinct label is evaluated once. One kernel call induces every order,
+    and one ``np.where`` revises each graph's order by every formula. All
+    these relations are proved reflexive and transitive at once, as each
+    :class:`PreferenceModel` would be. The first that fails, orders before
+    revisions, is handed to :class:`PreferenceModel` to raise its error.
+    """
+    worlds = worlds_for_signature(sig)
+    w, p = len(worlds), len(pool)
+    stack = [h for g in graphs for h in (g, *(prefix(g, f) for f in pool))]
+    nodes = [list(h.labels.values()) for h in stack]
+    # Each distinct label once, by identity, the pool first. The last row,
+    # all true, pads a graph to k nodes and, like a T label, changes nothing.
+    labels = {id(f): f for f in (*pool, *itertools.chain.from_iterable(nodes))}
+    row = {key: i for i, key in enumerate(labels)}
+    table = np.vstack([_sat_table(worlds, labels.values()), np.ones(w, dtype=bool)])
+    k = max(map(len, nodes))
+    index = [[row[id(f)] for f in fs] + [-1] * (k - len(fs)) for fs in nodes]
+    sat = table[np.array(index, dtype=np.intp).reshape(len(stack), k)]
+    above = np.zeros((len(stack), k, k), dtype=bool)
+    for i, h in enumerate(stack):
+        above[i, : len(h), : len(h)] = h.matrix
+    orders = induced_orders(sat, above)
+    per_graph = orders.reshape(len(graphs), 1 + p, w, w)
+    base, via_graph = per_graph[:, :1], per_graph[:, 1:]
+    # Across the two blocks a world is preferred iff it satisfies the
+    # formula, as in :func:`lex_revise`.
+    by = table[[row[id(f)] for f in pool]][:, :, None]
+    via_model = np.where(by == by.swapaxes(1, 2), base, by)
+    rel = np.concatenate([orders, via_model.reshape(-1, w, w)])
+    unproved = ~rel.diagonal(axis1=1, axis2=2).all(1) | (_compose(rel, rel) & ~rel).any((1, 2))
+    for i in np.flatnonzero(unproved):
+        PreferenceModel(worlds, rel[i])
+    differ = (via_graph != via_model).any((2, 3))
+    return [(repr(graphs[a]), to_text(pool[b])) for a, b in np.argwhere(differ).tolist()]

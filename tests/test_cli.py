@@ -497,6 +497,8 @@ REPORT_GOLDENS = {
     "demo_fact_cb.json": (0, ["demo", "fact-cb", "--json"]),
     "demo_fact_min.json": (0, ["demo", "fact-min", "--graph", str(DATA / "chain2.pg"), "--by", "~p", "--json"]),
     "demo_harmony.json": (0, ["demo", "harmony", "--bound", "2", "--json"]),
+    "demo_harmony_bound3.json": (0, ["demo", "harmony", "--bound", "3", "--json"]),
+    "demo_harmony_bound3_pool_p.json": (0, ["demo", "harmony", "--bound", "3", "--pool", "p", "--json"]),
 }
 
 

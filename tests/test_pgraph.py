@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from beliefrev import (
     PGraph,
     PreferenceModel,
+    Signature,
     Valuation,
     World,
     canonical_model,
@@ -22,9 +23,10 @@ from beliefrev.pgraph import (
     enumerate_pgraphs,
     induce_model,
     induced_order,
+    induced_orders,
     strict_orders,
 )
-from beliefrev.semantics import worlds_for_signature
+from beliefrev.semantics import _sat_table, worlds_for_signature
 from helpers import (
     POOL_TEXTS,
     SIG_PQ,
@@ -230,6 +232,59 @@ def test_induced_order_matches_the_oracle_on_chains_of_63_to_70_nodes(chain, dat
     worlds = data.draw(world_tuples(sig))
     got = PreferenceModel(worlds, induced_order(g, worlds))
     assert model_pairs(got) == oracle_induced_pairs(g, worlds)
+
+
+def padded_stack(graphs, worlds):
+    """Label rows and closed orders of ``graphs``, padded to the largest with
+    all-true rows and no order."""
+    k = max(len(g) for g in graphs)
+    sat = np.ones((len(graphs), k, len(worlds)), dtype=bool)
+    above = np.zeros((len(graphs), k, k), dtype=bool)
+    for i, g in enumerate(graphs):
+        sat[i, : len(g)] = _sat_table(worlds, g.labels.values())
+        above[i, : len(g), : len(g)] = g.matrix
+    return sat, above
+
+
+def assert_each_entry_is_the_oracles(graphs, worlds):
+    orders = induced_orders(*padded_stack(graphs, worlds))
+    assert orders.shape == (len(graphs), len(worlds), len(worlds))
+    for g, order in zip(graphs, orders):
+        got = {(worlds[a].id, worlds[b].id) for a, b in zip(*np.nonzero(order))}
+        assert got == oracle_induced_pairs(g, worlds)
+
+
+@st.composite
+def graph_stacks(draw):
+    """1-6 random graphs of 0-4 nodes over 1-3 atoms, and a world tuple."""
+    sig = draw(st.sampled_from((Signature(("p",)), SIG_PQ, SIG_PQR)))
+    rng = draw(st.randoms(use_true_random=False))
+    graphs = [random_pgraph(rng, sig) for _ in range(draw(st.integers(1, 6)))]
+    return graphs, draw(world_tuples(sig))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_stacks())
+def test_every_entry_of_a_stack_is_its_graphs_induced_order(stack):
+    assert_each_entry_is_the_oracles(*stack)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(deep_graphs(), min_size=2, max_size=3), world_tuples(SIG_PQR))
+def test_a_stack_of_deep_graphs_packs_each_nodes_above_set_apart(graphs, worlds):
+    # Nine or more nodes span two bytes, and the nodes above one index differ
+    # from graph to graph.
+    assert_each_entry_is_the_oracles(graphs, worlds)
+
+
+def test_padding_a_graph_in_a_stack_changes_nothing():
+    rng = random.Random(31)
+    worlds = worlds_for_signature(SIG_PQR)
+    graphs = [PGraph({})] + [random_pgraph(rng, SIG_PQR) for _ in range(40)]
+    orders = induced_orders(*padded_stack(graphs, worlds))
+    assert max(map(len, graphs)) == 4 and min(map(len, graphs)) == 0
+    for g, order in zip(graphs, orders):
+        assert np.array_equal(order, induced_order(g, worlds))
 
 
 def test_induced_order_is_valuation_determined():
@@ -455,6 +510,21 @@ def test_enumerate_pgraphs_counts():
     assert sum(1 for _ in enumerate_pgraphs(labels, 0)) == 1
     assert sum(1 for _ in enumerate_pgraphs(labels, 1)) == 6
     assert sum(1 for _ in enumerate_pgraphs(labels, 2)) == 51
+
+
+def test_enumerate_pgraphs_keeps_its_order_with_strict_orders_computed_once():
+    def reference(labels, max_nodes):
+        for k in range(max_nodes + 1):
+            for combo in itertools.combinations_with_replacement(labels, k):
+                for order in strict_orders(k):
+                    yield (
+                        [(f"n{i}", f) for i, f in enumerate(combo)],
+                        sorted((f"n{a}", f"n{b}") for a, b in order),
+                    )
+
+    got = [(list(g.labels.items()), sorted(g.edges)) for g in enumerate_pgraphs(pool(), 3)]
+    assert len(got) == 716
+    assert got == list(reference(pool(), 3))
 
 
 def test_random_induced_orders_are_preorders_with_acyclic_strict_part():
