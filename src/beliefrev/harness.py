@@ -41,6 +41,7 @@ from .semantics import (
     PreferenceModel,
     World,
     _compose,
+    _lex,
     _minimal,
     _sat_table,
     _sat_vector,
@@ -329,7 +330,8 @@ def _harmony_mismatches(
 
     The stack holds each graph followed by its prefixed graphs, and each
     distinct label is evaluated once. One kernel call induces every order,
-    and one ``np.where`` revises each graph's order by every formula. All
+    and one call of :func:`lex_revise`'s step revises each graph's order by
+    every formula. All
     these relations are proved reflexive and transitive at once, as each
     :class:`PreferenceModel` would be. The first that fails, orders before
     revisions, is handed to :class:`PreferenceModel` to raise its error.
@@ -352,10 +354,7 @@ def _harmony_mismatches(
     orders = induced_orders(sat, above)
     per_graph = orders.reshape(len(graphs), 1 + p, w, w)
     base, via_graph = per_graph[:, :1], per_graph[:, 1:]
-    # Across the two blocks a world is preferred iff it satisfies the
-    # formula, as in :func:`lex_revise`.
-    by = table[[row[id(f)] for f in pool]][:, :, None]
-    via_model = np.where(by == by.swapaxes(1, 2), base, by)
+    via_model = _lex(table[[row[id(f)] for f in pool]], base)
     rel = np.concatenate([orders, via_model.reshape(-1, w, w)])
     unproved = ~rel.diagonal(axis1=1, axis2=2).all(1) | (_compose(rel, rel) & ~rel).any((1, 2))
     for i in np.flatnonzero(unproved):

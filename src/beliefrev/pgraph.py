@@ -189,10 +189,7 @@ def induced_orders(sat: np.ndarray, above: np.ndarray) -> np.ndarray:
     Evaluated for all pairs at once, one node index f at a time, by
     comparing packed satisfaction bits of the nodes above f. Each world's
     node bits are packed once, eight nodes a byte, and a byte is compared
-    only where some graph has a node above f in it. When the nodes above f
-    spread over more bytes than they would fill, they are packed on their
-    own, so a node never costs more byte comparisons than its nodes above
-    need.
+    only where some graph has a node above f in it.
     """
     g, k, w = sat.shape
     codes = np.packbits(sat, axis=1)
@@ -205,13 +202,8 @@ def induced_orders(sat: np.ndarray, above: np.ndarray) -> np.ndarray:
         # down a column, is about 15x slower at 4,096 worlds.
         s = sat[:, f]
         keep = s[:, :, None] >= s[:, None, :]
-        spread = [b for b, on in enumerate(live[f]) if on]
-        rows = above[:, :, f].any(0) if len(spread) > 1 else None
-        if rows is not None and len(spread) > -(-np.count_nonzero(rows) // 8):
-            packed = np.packbits(sat[:, rows] & above[:, rows, f, None], axis=1).swapaxes(0, 1)
-        else:
-            packed = (codes[:, b] & masks[:, b, f, None] for b in spread)
-        for byte in packed:
+        for b in [b for b, on in enumerate(live[f]) if on]:
+            byte = codes[:, b] & masks[:, b, f, None]
             keep |= byte[:, :, None] != byte[:, None, :]
         out &= keep
     return out

@@ -434,12 +434,18 @@ def min_worlds(model: PreferenceModel, formula: Formula) -> frozenset[World]:
 def lex_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     """Lexicographic revision: all satisfying worlds become strictly more
     preferred than all others; order inside each block is untouched."""
-    sat = _sat_vector(model.worlds, formula)[:, None]
-    # across the two blocks a world is preferred iff it satisfies the formula
-    revised = np.where(sat == sat.T, model.matrix, sat)
+    revised = _lex(_sat_vector(model.worlds, formula), model.matrix)
     return RevisionOutcome(
         PreferenceModel(model.worlds, revised), "lexicographic", formula
     )
+
+
+def _lex(sat: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The lexicographic revision of ``matrix`` by the worlds ``sat`` marks:
+    across the two blocks a world is preferred iff it satisfies the formula,
+    and inside each block ``matrix`` stands. ``sat`` is ``(..., W)`` and
+    ``matrix`` ``(..., W, W)``; leading axes broadcast."""
+    return np.where(sat[..., :, None] == sat[..., None, :], matrix, sat[..., :, None])
 
 
 def natural_revise(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
