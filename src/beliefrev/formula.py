@@ -2,15 +2,17 @@
 
 Entailment and equivalence are decided by an exhaustive truth-table sweep.
 Each formula is compiled once into a short-circuiting function of a
-valuation's bits; runs of & and of | compile flat. An atom outside the
-signature is an input error (UnknownAtomError) wherever a formula is parsed
-or compiled, reached or not. Nesting is bounded twice, both times as an
-input error: evaluation at Python's compiler limit (ResourceBoundError),
-and parsing at its recursion limit (FormulaSyntaxError). Called at the top
-of a fresh Python 3.11.7 interpreter, parsing takes 496 bare parentheses,
-331 levels of ``(p -> (p -> ... q))``, 993 ``~`` or a 994-term ``->``
-chain, fewer under deeper callers (346 parentheses under 300 frames); runs
-of & and | cost no depth. The syntax is plain ASCII, so files stay
+valuation's bits; runs of & and of | compile flat. The same function
+builds, on request, the formula's truth table as one int of 2**n bits. An
+atom outside the signature is an input error (UnknownAtomError) wherever a
+formula is parsed or compiled, reached or not. Nesting is bounded twice,
+both times as an input error: evaluation at Python's compiler limit
+(ResourceBoundError), and parsing at its recursion limit
+(FormulaSyntaxError). Called at the top of a fresh Python 3.11.7
+interpreter, parsing takes 496 bare parentheses, 331 levels of
+``(p -> (p -> ... q))``, 993 ``~`` or a 994-term ``->`` chain, fewer
+under deeper callers (346 parentheses under 300 frames); runs of & and |
+cost no depth. The syntax is plain ASCII, so files stay
 hand-writable:
 
     ~  !      negation
@@ -102,8 +104,13 @@ class Signature:
         true before false. This order is the canonical world order used
         throughout the package. The rows are built in C, unchecked: each has
         the signature's length by construction."""
-        rows = zip(itertools.repeat(self), itertools.product((True, False), repeat=len(self.atoms)))
+        rows = zip(itertools.repeat(self), _rows(self))
         return map(tuple.__new__, itertools.repeat(Valuation), rows)
+
+
+def _rows(sig: Signature) -> Iterator[tuple[bool, ...]]:
+    """The bits of :meth:`Signature.valuations`, in its order."""
+    return itertools.product((True, False), repeat=len(sig.atoms))
 
 
 class Valuation(namedtuple("Valuation", "signature bits")):
@@ -236,8 +243,12 @@ def eval_formula(formula: Formula, valuation: Valuation) -> bool:
 
 
 _BITS = operator.attrgetter("bits")
+# One entry per (formula object, signature): [formula, compiled function, truth
+# table or None until :func:`_table` asks]. At the 20-atom cap a table is 2**20
+# bits, 128 KiB, so a full memo holds at most 16 MiB of tables.
 _MEMO_SIZE = 128
-_memo: dict[tuple[int, tuple[str, ...]], tuple[Formula, Callable[[tuple], bool]]] = {}
+_memo: dict[tuple[int, tuple[str, ...]], list] = {}
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _AT = {"lineno": 1, "col_offset": 0}  # compile() wants a position on every node
 _BUILD = {
     Not: lambda a: ast.UnaryOp(ast.Not(), a[0], **_AT),
@@ -285,15 +296,34 @@ def _compile(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
     return eval(code, {})
 
 
-def _compiled(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
-    """:func:`_compile`, memoised by the formula's identity. An entry holds its
-    formula, so the id is not reused while it lives; the oldest goes first."""
+def _entry(formula: Formula, sig: Signature) -> list:
+    """The memo entry of ``formula`` under ``sig``, keyed by the formula's
+    identity. An entry holds its formula, so the id is not reused while it
+    lives; the oldest goes first. A formula that raises is not entered."""
     key = (id(formula), sig.atoms)
-    if key not in _memo:
+    entry = _memo.get(key)
+    if entry is None:
         if len(_memo) >= _MEMO_SIZE:
             del _memo[next(iter(_memo))]
-        _memo[key] = (formula, _compile(formula, sig))
-    return _memo[key][1]
+        entry = _memo[key] = [formula, _compile(formula, sig), None]
+    return entry
+
+
+def _compiled(formula: Formula, sig: Signature) -> Callable[[tuple], bool]:
+    """:func:`_compile`, memoised."""
+    return _entry(formula, sig)[1]
+
+
+def _table(formula: Formula, sig: Signature) -> int:
+    """The truth table of ``formula`` as an int: bit k is its value at the
+    k-th valuation of :meth:`Signature.valuations`. Built once per memo
+    entry, in time linear in 2**n, by one call of the compiled function per
+    row and one base-2 parse of the resulting digits, last row first."""
+    entry = _entry(formula, sig)
+    if entry[2] is None:
+        values = bytes(map(entry[1], _rows(sig)))
+        entry[2] = int(values[::-1].translate(_DIGITS), 2)
+    return entry[2]
 
 
 def entails(premise: Formula, conclusion: Formula, sig: Signature) -> bool:

@@ -8,8 +8,9 @@ The syntactic checkers take a priority graph, the formula, and a transformed
 graph, and decide the finite quantifications over node labels that are
 sufficient for the corresponding postulate when they hold of a
 transformation on every input; all but recalcitrance are one counterpart
-search between the two graphs, as boolean masks over node pairs built from
-one truth row per label over the canonical worlds of the signature.
+search between the two graphs, over integer node sets built from one
+integer truth table per label (bit k is the label's value at the k-th
+valuation of the signature), memoised with the label's compiled code.
 
 Every failing report carries witnesses that re-verify against the raw
 definition. The syntactic conditions are sufficient only; their converses
@@ -21,8 +22,9 @@ the signature, in the revision formula, then the original labels, then the
 transformed labels.
 
 The syntactic checkers cost 2^n per label for n atoms, with no bound below
-the signature's 20: at 18 atoms on a 2-node graph, ``cond_dp1`` took 1.4 to
-1.7 s and 145 MB peak RSS, ``cond_rec`` 0.4 to 0.6 s (2-core x86-64 Linux).
+the signature's 20: at 18 atoms on a 2-node graph, ``cond_dp1`` took 0.05 to
+0.15 s and 29 MB peak RSS as the first call of a fresh process, ``cond_rec``
+0.4 to 0.6 s (2-core x86-64 Linux).
 """
 
 from __future__ import annotations
@@ -34,12 +36,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import WorldSetMismatchError
-from .formula import BOT, TOP, Formula, Signature, _compiled, entails, equivalent
+from .formula import BOT, TOP, Formula, Signature, _compiled, _table, entails, equivalent
 from .pgraph import PGraph
-from .semantics import (
-    PreferenceModel, _compose, _minimal, _sat_table, _sat_vector, _strict, _world_mismatch,
-    worlds_for_signature,
-)
+from .semantics import PreferenceModel, _minimal, _sat_vector, _strict, _world_mismatch
 
 
 class _Verdict:
@@ -177,63 +176,103 @@ SEMANTIC_CHECKS = {
 #
 # Below, "before" nodes/edges are those of the original graph and "after"
 # nodes/edges those of the transformed graph; prec edges are compared after
-# transitive closure. A label relation is a mask over (original, transformed)
-# label pairs, read off truth rows over the canonical worlds: ``s`` for the
-# revision formula, ``f`` for original labels (one axis wider, to broadcast)
-# and ``g`` for transformed labels.
+# transitive closure. A label relation is a test on one (original,
+# transformed) label pair, read off integer truth tables over the valuations
+# of the signature: ``s`` for the revision formula, ``f`` for the original
+# label and ``g`` for the transformed one.
 
 
 _RELATIONS = {
     # equivalence after conjunction with the revision formula, or its negation
-    "by": lambda s, f, g: ((f == g) | ~s).all(-1),
-    "not_by": lambda s, f, g: ((f == g) | s).all(-1),
+    "by": lambda s, f, g: not (f ^ g) & s,
+    "not_by": lambda s, f, g: not (f ^ g) & ~s,
     # by & f entails g, and ~by & g entails f
-    "inside": lambda s, f, g: ~((s & f & ~g) | (~s & g & ~f)).any(-1),
+    "inside": lambda s, f, g: not (s & f & ~g | g & ~f & ~s),
 }
+
+
+def _node_sets(matrix: np.ndarray) -> list[int]:
+    """Each column of a boolean node matrix as an int node set: bit i is
+    row i. Column j of a closed graph order is node j's strict
+    predecessors."""
+    out = []
+    for column in matrix.T.tolist():
+        nodes = 0
+        for i, on in enumerate(column):
+            if on:
+                nodes |= 1 << i
+        out.append(nodes)
+    return out
+
+
+def _union(sets: list[int], nodes: int) -> int:
+    """The union of ``sets[i]`` over the members i of the node set ``nodes``."""
+    out = 0
+    for i, members in enumerate(sets):
+        if nodes >> i & 1:
+            out |= members
+    return out
 
 
 class _Counterparts:
     """The counterpart search of the DP-1 to DP-4 and independence conditions
-    on one (before, by, after) triple, as boolean masks over node pairs:
-    ``rel[b, a]`` relates original node b to transformed node a, and
-    ``is_by[a]`` marks transformed labels equivalent to the revision formula.
-    An atom outside ``sig`` raises first, as the module docstring says."""
+    on one (before, by, after) triple, over int node sets: ``rel[0][b]`` is
+    the set of transformed nodes related to original node b, ``rel[1][a]``
+    the set of original nodes related to transformed node a,
+    ``preds[side][n]`` the strict predecessors of node n of that side, and
+    ``is_by`` the transformed nodes whose labels are equivalent to the
+    revision formula. An atom outside ``sig`` raises first, as the module
+    docstring says."""
 
     def __init__(self, before: PGraph, by: Formula, after: PGraph, sig: Signature, relation: str):
-        worlds = worlds_for_signature(sig)
-        self.s, self.graphs = _sat_vector(worlds, by), (before, after)
-        f, self.g = (_sat_table(worlds, graph.labels.values()) for graph in (before, after))
-        self.rel = _RELATIONS[relation](self.s, f[:, None], self.g)
-        self.is_by = (self.g == self.s).all(-1)
+        self.s = s = _table(by, sig)
+        f = [_table(label, sig) for label in before.labels.values()]
+        self.g = g = [_table(label, sig) for label in after.labels.values()]
+        test = _RELATIONS[relation]
+        self.graphs = (before, after)
+        self.rel = ([0] * len(f), [0] * len(g))
+        for b, fb in enumerate(f):
+            for a, ga in enumerate(g):
+                if test(s, fb, ga):
+                    self.rel[0][b] |= 1 << a
+                    self.rel[1][a] |= 1 << b
+        self.preds = (_node_sets(before.matrix), _node_sets(after.matrix))
+        self.is_by = sum(1 << a for a, ga in enumerate(g) if ga == s)
 
     def unmatched(self, clause: str, outer_after: bool, match_after: bool,
                   excuse: bool = False, anchored: bool = False) -> list[tuple[str, str, str]]:
-        """Witnesses for the outer graph's nodes that have no counterpart.
+        """Witnesses for the outer graph's nodes that have no counterpart,
+        in node order.
 
         A counterpart is a related node of the other graph. Of the pair, the
         transformed node (``match_after``) or else the original one has each
         strict predecessor related to some strict predecessor of the other,
-        unless ``excuse`` is set and that predecessor is equivalent to the
-        revision formula. Transformed outer nodes equivalent to the revision
+        unless ``excuse`` is set (with ``match_after``) and that predecessor
+        is equivalent to the revision formula. Transformed outer nodes equivalent to the revision
         formula are skipped; ``anchored`` further requires transformed outer
         nodes to entail it or to have a strict predecessor equivalent to it.
         """
-        rel, is_by = self.rel, self.is_by
-        up_b, up_a = (g.matrix for g in self.graphs)
-        if match_after:
-            bad = _compose(~(_compose(up_b.T, rel) | (excuse & is_by)), up_a)
-        else:
-            bad = _compose(up_b.T, ~_compose(rel, up_a))
-        pairs = rel & ~bad
-        if outer_after:
-            ok = pairs.any(0)
-            if anchored:
-                ok &= ~(self.g & ~self.s).any(-1) | (up_a & is_by[:, None]).any(0)
-            ok |= is_by
-        else:
-            ok = pairs.any(1)
+        rel, preds, is_by = self.rel, self.preds, self.is_by
+        # covered[o]: the nodes of the matched side related to some strict
+        # predecessor of node o of the other side, or excused
+        spare = is_by if excuse else 0
+        other = not match_after
+        covered = [spare | _union(rel[other], up) for up in preds[other]]
+        matched = preds[match_after]
         outer = self.graphs[outer_after]
-        return [(clause, n, str(outer.label(n))) for n, good in zip(outer.node_ids, ok) if not good]
+        bad = []
+        for n, (node, partners) in enumerate(zip(outer.node_ids, rel[outer_after])):
+            if outer_after and is_by >> n & 1:
+                continue
+            if outer_after == match_after:
+                ok = any(partners >> m & 1 and not matched[n] & ~cover for m, cover in enumerate(covered))
+            else:
+                ok = any(partners >> m & 1 and not up & ~covered[n] for m, up in enumerate(matched))
+            if ok and anchored and self.g[n] & ~self.s:
+                ok = bool(preds[1][n] & is_by)
+            if not ok:
+                bad.append((clause, node, str(outer.label(node))))
+        return bad
 
 
 def cond_dp1(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> ConditionReport:

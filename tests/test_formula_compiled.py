@@ -28,7 +28,7 @@ from beliefrev.errors import UnknownAtomError
 from beliefrev.formula import BOT, TOP, And, Atom, Iff, Implies, Not, Or, to_text
 from beliefrev.semantics import worlds_for_signature
 from beliefrev.files import parse_model_file
-from beliefrev.formula import _MEMO_SIZE, _memo
+from beliefrev.formula import _MEMO_SIZE, _memo, _table
 from beliefrev.semantics import _sat_vector
 from helpers import SIG_PQ, SIG_PQR
 
@@ -101,6 +101,26 @@ def test_sat_vector_matches_the_reference_on_shuffled_and_empty_worlds(fs, order
         assert _sat_vector(worlds, f).shape == (0,)
 
 
+SIGNATURES = [Signature(tuple("pqrstu"[:n])) for n in range(1, 7)]
+
+
+@st.composite
+def signed_formulas(draw):
+    """A signature of 1 to 6 atoms and a formula over its atoms, T and F."""
+    sig = draw(st.sampled_from(SIGNATURES))
+    return sig, draw(formulas([Atom(a) for a in sig] + [TOP, BOT], depth=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_formulas())
+def test_table_bit_k_is_the_value_at_the_kth_valuation(case):
+    sig, f = case
+    table = _table(f, sig)
+    assert table >> 2 ** len(sig) == 0
+    for k, v in enumerate(sig.valuations()):
+        assert (table >> k & 1) == eval_formula(f, v)
+
+
 def test_a_2000_term_chain_behaves_as_its_atom():
     sig, _ = parse_model_file((DATA / "ties5.model").read_text())
     chain_text = " & ".join(["p"] * 2000)
@@ -144,7 +164,7 @@ def test_the_memo_is_bounded_and_keyed_by_signature():
     for f in fresh:
         assert eval_formula(f, v) is True
     assert len(_memo) == _MEMO_SIZE
-    assert all(entry is f for (entry, _), f in zip(_memo.values(), fresh[-_MEMO_SIZE:]))
+    assert all(entry is f for (entry, *_), f in zip(_memo.values(), fresh[-_MEMO_SIZE:]))
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,6 +15,7 @@ from beliefrev import (
     SEMANTIC_CHECKS,
     PGraph,
     PreferenceModel,
+    Signature,
     World,
     canonical_model,
     prefix,
@@ -23,6 +24,7 @@ from beliefrev.errors import GraphCycleError, GraphSelfLoopError
 from beliefrev.formula import Atom
 from beliefrev.pgraph import enumerate_pgraphs
 from beliefrev.postulates import CONDITION_CHECKS
+from beliefrev.semantics import worlds_for_signature
 from beliefrev.transforms import null_transform
 from helpers import SIG_PQ, SIG_PQR, f, graph, pool, preorder_models_on_trio
 
@@ -124,11 +126,12 @@ LABELS_PQR = pool(SIG_PQR) + tuple(f(t, SIG_PQR) for t in ("r", "q | ~r", "T", "
 
 
 @st.composite
-def pgraphs(draw):
-    """A graph of up to 4 nodes labelled from ``LABELS_PQR``. Node ids are
-    not listed in sorted order, and edges only run forward along a random
-    ranking of the nodes, so every draw is a strict partial order."""
-    n = draw(st.integers(0, 4))
+def pgraphs(draw, nodes=(0, 4)):
+    """A graph of ``nodes[0]`` to ``nodes[1]`` nodes labelled from
+    ``LABELS_PQR``. Node ids are not listed in sorted order, and edges only
+    run forward along a random ranking of the nodes, so every draw is a
+    strict partial order."""
+    n = draw(st.integers(*nodes))
     ids = [f"n{i}" for i in draw(shuffled(n))]
     labels = draw(st.lists(st.sampled_from(LABELS_PQR), min_size=n, max_size=n))
     rank = draw(st.permutations(range(n)))
@@ -139,15 +142,43 @@ def pgraphs(draw):
 
 
 @st.composite
-def condition_triples(draw):
+def condition_triples(draw, nodes=(0, 4)):
     """A random graph, a pool formula, and the graph's prefix, the graph
     itself, or an independent random graph."""
-    before, by = draw(pgraphs()), draw(st.sampled_from(LABELS_PQR))
+    before, by = draw(pgraphs(nodes)), draw(st.sampled_from(LABELS_PQR))
     after = st.sampled_from([prefix(before, by), null_transform(before, by)])
-    return before, by, draw(st.one_of(after, pgraphs()))
+    return before, by, draw(st.one_of(after, pgraphs(nodes)))
 
 
+# From 5 to 9 nodes, node sets are wider than a byte and predecessor chains
+# longer than in the small graphs.
+@pytest.mark.parametrize("nodes", [(0, 4), (5, 9)], ids=["up to 4 nodes", "5 to 9 nodes"])
 @settings(max_examples=100, deadline=None)
-@given(condition_triples())
-def test_conditions_match_the_loop_reference_on_random_graphs(triple):
-    assert_same_conditions(*triple, sig=SIG_PQR)
+@given(data=st.data())
+def test_conditions_match_the_loop_reference_on_random_graphs(nodes, data):
+    assert_same_conditions(*data.draw(condition_triples(nodes)), sig=SIG_PQR)
+
+
+def wide_triples(n: int):
+    """A 2-node graph over n atoms, a revision formula, and two transformed
+    graphs: its prefix and an independent 2-node graph."""
+    sig = Signature(tuple(f"a{i}" for i in range(n)))
+    before = graph({"x": "a0 | a5", "y": f"a3 & ~a{n - 1}"}, [("x", "y")], sig)
+    by = f("a1 -> a2", sig)
+    other = graph({"u": f"a3 & ~a{n - 1}", "v": "a0 | a5 | a9"}, [("u", "v")], sig)
+    return sig, [(before, by, prefix(before, by)), (before, by, other)]
+
+
+def test_conditions_at_12_atoms_match_the_loop_reference():
+    sig, triples = wide_triples(12)
+    for triple in triples:
+        assert_same_conditions(*triple, sig=sig)
+
+
+def test_conditions_at_16_atoms_build_no_canonical_worlds():
+    sig, triples = wide_triples(16)
+    cached = worlds_for_signature.cache_info()
+    for triple in triples:
+        for name in ("dp1", "dp2", "dp3", "dp4", "ind"):
+            CONDITION_CHECKS[name](*triple, sig)
+    assert worlds_for_signature.cache_info() == cached

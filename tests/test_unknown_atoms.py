@@ -6,7 +6,7 @@ import pytest
 
 from beliefrev import Signature, Valuation, entails, equivalent, eval_formula
 from beliefrev.errors import UnknownAtomError
-from beliefrev.formula import BOT, TOP, And, Atom, Or, _memo
+from beliefrev.formula import BOT, TOP, And, Atom, Or, _memo, _table
 from beliefrev.pgraph import PGraph, canonical_model, induce_model
 from beliefrev.postulates import CONDITION_CHECKS, SEMANTIC_CHECKS, postulates
 from beliefrev.semantics import lex_revise, min_worlds, natural_revise
@@ -54,11 +54,27 @@ def test_every_entry_point_rejects_an_unknown_atom_before_evaluating(entry, form
     assert caught.value.atom == named
 
 
+# Labels are checked after the revision formula, original labels before
+# transformed ones: (original label, transformed label, atom named).
+IN_LABELS = [(Atom("xx"), P, "xx"), (Atom("xx"), Atom("aa"), "xx")]
+
+
+@pytest.mark.parametrize("original, transformed, named", IN_LABELS,
+                         ids=["original label", "both labels"])
+@pytest.mark.parametrize("cond", CONDITION_CHECKS)
+def test_every_condition_names_the_leftmost_unknown_atom_in_a_label(cond, original, transformed, named):
+    with pytest.raises(UnknownAtomError) as caught:
+        CONDITION_CHECKS[cond](labelled(original), P, labelled(transformed), SIG_PQ)
+    assert caught.value.atom == named
+
+
 def test_a_formula_that_raises_is_not_memoised():
     f = And(BOT, Atom("zz"))
-    for _ in range(2):
-        with pytest.raises(UnknownAtomError):
-            entails(f, f, SIG_PQ)
-        assert all(entry is not f for entry, _ in _memo.values())
+    for query in (lambda: entails(f, f, SIG_PQ), lambda: _table(f, SIG_PQ)):
+        for _ in range(2):
+            with pytest.raises(UnknownAtomError):
+                query()
+            assert all(entry is not f for entry, *_ in _memo.values())
     # the same object is accepted under a signature that declares zz
     assert entails(f, f, Signature(("zz",)))
+    assert _table(f, Signature(("zz",))) == 0
