@@ -33,7 +33,7 @@ import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     FormulaSyntaxError,
@@ -126,16 +126,6 @@ class Valuation(namedtuple("Valuation", "signature bits")):
         if len(bits) != len(signature.atoms):
             raise ValueError("valuation must assign every atom of the signature")
         return tuple.__new__(cls, (signature, bits))
-
-    @classmethod
-    def from_dict(cls, signature: Signature, assignment: Mapping[str, bool]) -> "Valuation":
-        extra = set(assignment) - set(signature.atoms)
-        if extra:
-            raise UnknownAtomError(sorted(extra)[0])
-        missing = [a for a in signature.atoms if a not in assignment]
-        if missing:
-            raise ValueError(f"valuation is missing atom {missing[0]!r}")
-        return cls(signature, tuple(bool(assignment[a]) for a in signature.atoms))
 
     def __getitem__(self, atom: str) -> bool:
         return self.bits[self.signature.index(atom)]

@@ -30,6 +30,7 @@ from .errors import ResourceBoundError
 from .formula import Atom, Formula, Signature, Valuation, to_text
 from .pgraph import (
     PGraph,
+    _stack,
     canonical_model,
     enumerate_pgraphs,
     graph_from_preorder,
@@ -328,33 +329,23 @@ def _harmony_mismatches(
     of ``prefix(graph, formula)`` differs from the lexicographic revision of
     the graph's canonical order by ``formula``.
 
-    The stack holds each graph followed by its prefixed graphs, and each
-    distinct label is evaluated once. One kernel call induces every order,
-    and one call of :func:`lex_revise`'s step revises each graph's order by
-    every formula. All
-    these relations are proved reflexive and transitive at once, as each
-    :class:`PreferenceModel` would be. The first that fails, orders before
-    revisions, is handed to :class:`PreferenceModel` to raise its error.
+    The pool is evaluated first, so its unknown atoms raise first, then the
+    stack of each graph and its prefixed graphs. One kernel call induces
+    every order, and one call of :func:`lex_revise`'s step revises each
+    graph's order by every formula. All these relations are proved
+    reflexive and transitive at once, as each :class:`PreferenceModel` would
+    be. The first that fails, orders before revisions, is handed to
+    :class:`PreferenceModel` to raise its error.
     """
     worlds = worlds_for_signature(sig)
     w, p = len(worlds), len(pool)
+    by = _sat_table(worlds, pool)
     stack = [h for g in graphs for h in (g, *(prefix(g, f) for f in pool))]
-    nodes = [list(h.labels.values()) for h in stack]
-    # Each distinct label once, by identity, the pool first. The last row,
-    # all true, pads a graph to k nodes and, like a T label, changes nothing.
-    labels = {id(f): f for f in (*pool, *itertools.chain.from_iterable(nodes))}
-    row = {key: i for i, key in enumerate(labels)}
-    table = np.vstack([_sat_table(worlds, labels.values()), np.ones(w, dtype=bool)])
-    k = max(map(len, nodes))
-    index = [[row[id(f)] for f in fs] + [-1] * (k - len(fs)) for fs in nodes]
-    sat = table[np.array(index, dtype=np.intp).reshape(len(stack), k)]
-    above = np.zeros((len(stack), k, k), dtype=bool)
-    for i, h in enumerate(stack):
-        above[i, : len(h), : len(h)] = h.matrix
+    sat, above = _stack(stack, worlds)
     orders = induced_orders(sat, above)
     per_graph = orders.reshape(len(graphs), 1 + p, w, w)
     base, via_graph = per_graph[:, :1], per_graph[:, 1:]
-    via_model = _lex(table[[row[id(f)] for f in pool]], base)
+    via_model = _lex(by, base)
     rel = np.concatenate([orders, via_model.reshape(-1, w, w)])
     unproved = ~rel.diagonal(axis1=1, axis2=2).all(1) | (_compose(rel, rel) & ~rel).any((1, 2))
     for i in np.flatnonzero(unproved):

@@ -22,10 +22,10 @@ only that ``w`` and ``w'`` differ on some strictly more important node:
   that ``w`` satisfies, strictly above the first.
 
 One kernel, :func:`induced_orders`, computes the induced orders of a stack
-of graphs over one world tuple. A graph with fewer nodes than the largest
-is padded with ``T``-like nodes, true at every world and unordered, which
-add no constraint. :func:`induced_order` runs it on a stack of one, and
-the harmony sweep on every graph it checks at once.
+of graphs over one world tuple, built by :func:`_stack`, which pads a graph
+to the largest with ``T``-like nodes, true at every world and unordered.
+:func:`induced_order` runs it on a stack of one, and the harmony sweep on
+every graph it checks at once.
 """
 
 from __future__ import annotations
@@ -164,20 +164,36 @@ class PGraph:
 def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
     """The preference relation induced by ``graph`` over ``worlds``, as a
     boolean matrix aligned with the given world order: the stack kernel
-    :func:`induced_orders` on a stack of one.
+    :func:`induced_orders` on the :func:`_stack` of one graph.
 
     ``w <= w'`` holds iff for every node formula f: (w' |= f implies
     w |= f), or some strictly more important node formula g has w |= g and
     w' |/= g; equivalently, w and w' differ on some node above f (module
     docstring).
     """
-    sat = _sat_table(tuple(worlds), graph.labels.values())
-    return induced_orders(sat[None], graph.matrix[None])[0]
+    return induced_orders(*_stack([graph], worlds))[0]
+
+
+def _stack(graphs: Sequence[PGraph], worlds: Sequence[World]) -> tuple[np.ndarray, np.ndarray]:
+    """The padded ``(sat, above)`` input of :func:`induced_orders`. Each
+    distinct label object is evaluated once, in (graph, node) order, so the
+    first graph's leftmost unknown atom raises first."""
+    nodes = [list(g.labels.values()) for g in graphs]
+    labels = {id(f): f for f in itertools.chain.from_iterable(nodes)}
+    row = {key: i for i, key in enumerate(labels)}
+    table = np.vstack([_sat_table(worlds, labels.values()), np.ones(len(worlds), dtype=bool)])
+    k = max(map(len, nodes), default=0)
+    index = [[row[id(f)] for f in fs] + [-1] * (k - len(fs)) for fs in nodes]
+    sat = table[np.array(index, dtype=np.intp).reshape(len(graphs), k)]
+    above = np.zeros((len(graphs), k, k), dtype=bool)
+    for i, g in enumerate(graphs):
+        above[i, : len(g), : len(g)] = g.matrix
+    return sat, above
 
 
 def induced_orders(sat: np.ndarray, above: np.ndarray) -> np.ndarray:
     """The induced orders of a stack of G graphs over one world tuple, as a
-    ``(G, W, W)`` boolean array.
+    ``(G, W, W)`` boolean array: the array kernel, fed by :func:`_stack`.
 
     ``sat`` is ``(G, K, W)``: entry ``[g, k, w]`` says world w satisfies
     the label of node k of graph g. ``above`` is ``(G, K, K)``: entry

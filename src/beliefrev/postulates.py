@@ -35,10 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import WorldSetMismatchError
 from .formula import BOT, TOP, Formula, Signature, _compiled, _table, entails, equivalent
 from .pgraph import PGraph
-from .semantics import PreferenceModel, _minimal, _sat_vector, _strict, _world_mismatch
+from .semantics import PreferenceModel, _aligned, _minimal, _sat_vector, _strict
 
 
 class _Verdict:
@@ -74,11 +73,11 @@ class ConditionReport(_Verdict):
 
 # --- semantic checkers -------------------------------------------------------
 #
-# Every checker reads three arrays indexed in sorted world-id order: ``s``
+# Every checker reads three arrays in the before model's world order: ``s``
 # marks the worlds satisfying the revision formula, ``b`` and ``a`` are the
-# relations before and after. A postulate is a mask whose set cells, in
-# row-major order, are its witnesses: world pairs, or single worlds for
-# faithfulness, which holds outright when no world satisfies the formula.
+# relations before and after. A postulate is a mask whose set cells are its
+# witnesses, row-major over sorted world ids: world pairs, or single worlds
+# for faithfulness, which holds outright when no world satisfies the formula.
 
 
 _MASKS = {
@@ -100,20 +99,19 @@ def postulates(
     """One report per name in ``names``, all of ``SEMANTIC_CHECKS`` by
     default, from one alignment of the two models; a repeated name repeats
     its report. Raises :class:`WorldSetMismatchError` when the models do
-    not share their worlds with equal valuations."""
-    reason = _world_mismatch(before, after)
-    if reason is not None:
-        raise WorldSetMismatchError(reason)
-    ids = sorted(before.ids)
-    b_rows = np.array([before.index(i) for i in ids])
-    a_rows = np.array([after.index(i) for i in ids])
-    s = _sat_vector(before.worlds, by)[b_rows]
-    b = before.matrix.take(b_rows, 0).take(b_rows, 1)
-    a = after.matrix.take(a_rows, 0).take(a_rows, 1)
+    not share their worlds with equal valuations, before the formula is
+    evaluated. Only a failing mask is put into sorted world-id order."""
+    a = _aligned(before, after)
+    s, b, ids = _sat_vector(before.worlds, by), before.matrix, before.ids
+    rank: list[int] = []
     reports = {}
     for name in dict.fromkeys(names):
-        cells = [[ids[k] for k in axis.tolist()] for axis in np.nonzero(_MASKS[name](s, b, a))]
-        bad = tuple(zip(*cells))
+        mask = _MASKS[name](s, b, a)
+        bad = ()
+        if mask.any():
+            rank = rank or sorted(range(len(ids)), key=ids.__getitem__)
+            cells = np.nonzero(mask[np.ix_(*[rank] * mask.ndim)])
+            bad = tuple(zip(*[[ids[rank[k]] for k in axis.tolist()] for axis in cells]))
         reports[name] = PostulateReport(name, not bad, bad)
     return [reports[name] for name in names]
 

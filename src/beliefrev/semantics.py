@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ModelInvariantError
+from .errors import ModelInvariantError, WorldSetMismatchError
 from .formula import Formula, Signature, Valuation, _compiled
 
 
@@ -309,12 +309,10 @@ class PreferenceModel:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceModel):
             return NotImplemented
-        if self._worlds == other.worlds:
-            return np.array_equal(self._matrix, other.matrix)
-        if _world_mismatch(self, other) is not None:
+        try:
+            return np.array_equal(self._matrix, _aligned(self, other))
+        except WorldSetMismatchError:
             return False
-        rows = np.array([other.index(i) for i in self.ids])
-        return np.array_equal(self._matrix, other.matrix[rows[:, None], rows])
 
     def __hash__(self):
         raise TypeError("preference models are not hashable")
@@ -323,17 +321,21 @@ class PreferenceModel:
         return f"PreferenceModel({self.describe_order()})"
 
 
-def _world_mismatch(a: PreferenceModel, b: PreferenceModel) -> str | None:
-    """Why ``a`` and ``b`` do not share their worlds with equal valuations,
-    or ``None`` when they do."""
-    if a.worlds == b.worlds:
-        return None
-    if set(a.ids) != set(b.ids):
-        return f"models do not share a world set: {sorted(a.ids)} vs {sorted(b.ids)}"
-    for w in a.worlds:
-        if b.world(w.id).valuation != w.valuation:
-            return f"world {w.id!r} changed valuation"
-    return None
+def _aligned(model: PreferenceModel, other: PreferenceModel) -> np.ndarray:
+    """``other``'s relation in ``model``'s world order, ``other.matrix`` itself
+    for equal world tuples. The one world-set check: raises
+    :class:`WorldSetMismatchError` unless the worlds and valuations match."""
+    if model.worlds == other.worlds:
+        return other.matrix
+    if set(model.ids) != set(other.ids):
+        raise WorldSetMismatchError(
+            f"models do not share a world set: {sorted(model.ids)} vs {sorted(other.ids)}"
+        )
+    for w in model.worlds:
+        if other.world(w.id).valuation != w.valuation:
+            raise WorldSetMismatchError(f"world {w.id!r} changed valuation")
+    rows = np.array([other.index(i) for i in model.ids])
+    return other.matrix[rows[:, None], rows]
 
 
 def _tie_key(model: PreferenceModel) -> np.ndarray:

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import reference_orders as reference
 from beliefrev import PGraph, PreferenceModel, World
+from beliefrev.errors import WorldSetMismatchError
 from beliefrev.formula import TOP
 from beliefrev.files import parse_model_file
-from beliefrev.semantics import _world_mismatch, transitive_closure
+from beliefrev.semantics import _aligned, transitive_closure
 from helpers import all_equal_fixture, chain_fixture, oracle_closure
 
 
@@ -105,13 +106,23 @@ def test_equality_and_world_check_on_reordered_and_revalued_worlds():
     same = PreferenceModel(worlds, m.matrix.copy())
     reordered = PreferenceModel(worlds[::-1], m.matrix[::-1, ::-1])
     reversed_chain = PreferenceModel(worlds[::-1], m.matrix)
-    for other in (same, reordered, reversed_chain, all_equal_fixture()):
-        assert _world_mismatch(m, other) is None and _world_mismatch(other, m) is None
+    assert _aligned(m, same) is same.matrix
+    assert np.array_equal(_aligned(m, reordered), m.matrix)
+    assert np.array_equal(_aligned(reordered, m), reordered.matrix)
+    assert np.array_equal(_aligned(m, reversed_chain), m.matrix.T)
+    assert np.array_equal(_aligned(m, all_equal_fixture()), all_equal_fixture().matrix)
     assert m == same and m == reordered and reordered == m
     assert m != reversed_chain and m != all_equal_fixture()
 
     revalued = PreferenceModel(
         [World(w.id, worlds[(k + 1) % 4].valuation) for k, w in enumerate(worlds)], m.matrix
     )
-    assert _world_mismatch(m, revalued) == "world 'w_pq' changed valuation"
+    with pytest.raises(WorldSetMismatchError, match=r"^world 'w_pq' changed valuation$"):
+        _aligned(m, revalued)
     assert m != revalued and revalued != m
+
+    fewer = m.restricted_to(["w_pq", "w_q"])
+    message = r"^models do not share a world set: \['w_0', 'w_p', 'w_pq', 'w_q'\] vs \['w_pq', 'w_q'\]$"
+    with pytest.raises(WorldSetMismatchError, match=message):
+        _aligned(m, fewer)
+    assert m != fewer and fewer != m

@@ -45,15 +45,6 @@ def test_valuation_order_is_deterministic():
     assert vals[1]["p"] and not vals[1]["q"]
 
 
-def test_valuation_from_dict_totality():
-    v = Valuation.from_dict(SIG_PQ, {"p": True, "q": False})
-    assert v.bits == (True, False)
-    with pytest.raises(ValueError):
-        Valuation.from_dict(SIG_PQ, {"p": True})
-    with pytest.raises(UnknownAtomError):
-        Valuation.from_dict(SIG_PQ, {"p": True, "q": False, "r": True})
-
-
 def test_valuation_is_an_immutable_value():
     v = val(1, 0)
     for field in ("bits", "signature", "other"):

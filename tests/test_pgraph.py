@@ -17,9 +17,10 @@ from beliefrev import (
     graph_from_preorder,
     graphs_equivalent,
 )
-from beliefrev.errors import GraphCycleError, GraphSelfLoopError, NotRepresentableError
+from beliefrev.errors import GraphCycleError, GraphSelfLoopError, NotRepresentableError, UnknownAtomError
 from beliefrev.formula import TOP
 from beliefrev.pgraph import (
+    _stack,
     enumerate_pgraphs,
     induce_model,
     induced_order,
@@ -234,20 +235,8 @@ def test_induced_order_matches_the_oracle_on_chains_of_63_to_70_nodes(chain, dat
     assert model_pairs(got) == oracle_induced_pairs(g, worlds)
 
 
-def padded_stack(graphs, worlds):
-    """Label rows and closed orders of ``graphs``, padded to the largest with
-    all-true rows and no order."""
-    k = max(len(g) for g in graphs)
-    sat = np.ones((len(graphs), k, len(worlds)), dtype=bool)
-    above = np.zeros((len(graphs), k, k), dtype=bool)
-    for i, g in enumerate(graphs):
-        sat[i, : len(g)] = _sat_table(worlds, g.labels.values())
-        above[i, : len(g), : len(g)] = g.matrix
-    return sat, above
-
-
 def assert_each_entry_is_the_oracles(graphs, worlds):
-    orders = induced_orders(*padded_stack(graphs, worlds))
+    orders = induced_orders(*_stack(graphs, worlds))
     assert orders.shape == (len(graphs), len(worlds), len(worlds))
     for g, order in zip(graphs, orders):
         got = {(worlds[a].id, worlds[b].id) for a, b in zip(*np.nonzero(order))}
@@ -281,10 +270,37 @@ def test_padding_a_graph_in_a_stack_changes_nothing():
     rng = random.Random(31)
     worlds = worlds_for_signature(SIG_PQR)
     graphs = [PGraph({})] + [random_pgraph(rng, SIG_PQR) for _ in range(40)]
-    orders = induced_orders(*padded_stack(graphs, worlds))
+    orders = induced_orders(*_stack(graphs, worlds))
     assert max(map(len, graphs)) == 4 and min(map(len, graphs)) == 0
     for g, order in zip(graphs, orders):
         assert np.array_equal(order, induced_order(g, worlds))
+
+
+def test_a_stack_evaluates_each_label_object_once_in_graph_then_node_order(monkeypatch):
+    wide = Signature(("p", "q", "yy", "zz"))
+    worlds = worlds_for_signature(SIG_PQ)
+    first = graph({"a": "p", "b": "q & yy"}, sig=wide)
+    second = graph({"a": "zz", "b": "yy"}, sig=wide)
+    for graphs, atom in (([first, second], "yy"), ([second, first], "zz")):
+        with pytest.raises(UnknownAtomError, match=rf"^unknown atom '{atom}'$"):
+            _stack(graphs, worlds)
+
+    shared, other = f("p | q"), f("~q")
+    graphs = [PGraph({"a": shared}), PGraph({"a": other, "b": shared}, [("a", "b")]), PGraph({"c": shared})]
+    evaluated = []
+
+    def recording(worlds, formulas):
+        evaluated.extend(formulas)
+        return _sat_table(worlds, evaluated)
+
+    monkeypatch.setattr("beliefrev.pgraph._sat_table", recording)
+    sat, above = _stack(graphs, worlds)
+    assert [id(x) for x in evaluated] == [id(shared), id(other)]
+    assert sat.shape == (3, 2, 4) and above.shape == (3, 2, 2)
+    assert np.array_equal(sat[:, 0], _sat_table(worlds, [shared, other, shared]))
+    assert sat[[0, 2], 1].all() and sat[1, 1].tolist() == sat[0, 0].tolist()
+    assert above[1].tolist() == [[False, True], [False, False]] and not above[[0, 2]].any()
+    assert_each_entry_is_the_oracles(graphs, worlds)
 
 
 def test_induced_order_is_valuation_determined():
