@@ -46,7 +46,7 @@ from .semantics import (
     PreferenceModel,
     World,
     _preorder_edges,
-    _sat_table,
+    _sat_vector,
     _tie_key,
     transitive_closure,
     worlds_for_signature,
@@ -180,14 +180,14 @@ def _stack(graphs: Sequence[PGraph], worlds: Sequence[World]) -> tuple[np.ndarra
     first graph's leftmost unknown atom raises first."""
     nodes = [list(g.labels.values()) for g in graphs]
     labels = {id(f): f for f in itertools.chain.from_iterable(nodes)}
-    row = {key: i for i, key in enumerate(labels)}
-    table = np.vstack([_sat_table(worlds, labels.values()), np.ones(len(worlds), dtype=bool)])
+    rows = {key: _sat_vector(worlds, f) for key, f in labels.items()}
     k = max(map(len, nodes), default=0)
-    index = [[row[id(f)] for f in fs] + [-1] * (k - len(fs)) for fs in nodes]
-    sat = table[np.array(index, dtype=np.intp).reshape(len(graphs), k)]
+    sat = np.ones((len(graphs), k, len(worlds)), dtype=bool)
     above = np.zeros((len(graphs), k, k), dtype=bool)
-    for i, g in enumerate(graphs):
-        above[i, : len(g), : len(g)] = g.matrix
+    for i, (g, fs) in enumerate(zip(graphs, nodes)):
+        for j, f in enumerate(fs):
+            sat[i, j] = rows[id(f)]
+        above[i, : len(fs), : len(fs)] = g.matrix
     return sat, above
 
 

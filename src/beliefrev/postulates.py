@@ -103,15 +103,17 @@ def postulates(
     evaluated. Only a failing mask is put into sorted world-id order."""
     a = _aligned(before, after)
     s, b, ids = _sat_vector(before.worlds, by), before.matrix, before.ids
-    rank: list[int] = []
+    rank = None
     reports = {}
     for name in dict.fromkeys(names):
         mask = _MASKS[name](s, b, a)
         bad = ()
         if mask.any():
-            rank = rank or sorted(range(len(ids)), key=ids.__getitem__)
-            cells = np.nonzero(mask[np.ix_(*[rank] * mask.ndim)])
-            bad = tuple(zip(*[[ids[rank[k]] for k in axis.tolist()] for axis in cells]))
+            if rank is None:
+                rank = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+            for axis in range(mask.ndim):
+                mask = mask.take(rank, axis)
+            bad = tuple(zip(*[[ids[k] for k in rank[cells].tolist()] for cells in np.nonzero(mask)]))
         reports[name] = PostulateReport(name, not bad, bad)
     return [reports[name] for name in names]
 

@@ -335,7 +335,7 @@ def _aligned(model: PreferenceModel, other: PreferenceModel) -> np.ndarray:
         if other.world(w.id).valuation != w.valuation:
             raise WorldSetMismatchError(f"world {w.id!r} changed valuation")
     rows = np.array([other.index(i) for i in model.ids])
-    return other.matrix[rows[:, None], rows]
+    return other.matrix.take(rows, 0).take(rows, 1)
 
 
 def _tie_key(model: PreferenceModel) -> np.ndarray:

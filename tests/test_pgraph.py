@@ -27,7 +27,7 @@ from beliefrev.pgraph import (
     induced_orders,
     strict_orders,
 )
-from beliefrev.semantics import _sat_table, worlds_for_signature
+from beliefrev.semantics import _sat_table, _sat_vector, worlds_for_signature
 from helpers import (
     POOL_TEXTS,
     SIG_PQ,
@@ -289,11 +289,11 @@ def test_a_stack_evaluates_each_label_object_once_in_graph_then_node_order(monke
     graphs = [PGraph({"a": shared}), PGraph({"a": other, "b": shared}, [("a", "b")]), PGraph({"c": shared})]
     evaluated = []
 
-    def recording(worlds, formulas):
-        evaluated.extend(formulas)
-        return _sat_table(worlds, evaluated)
+    def recording(worlds, formula):
+        evaluated.append(formula)
+        return _sat_vector(worlds, formula)
 
-    monkeypatch.setattr("beliefrev.pgraph._sat_table", recording)
+    monkeypatch.setattr("beliefrev.pgraph._sat_vector", recording)
     sat, above = _stack(graphs, worlds)
     assert [id(x) for x in evaluated] == [id(shared), id(other)]
     assert sat.shape == (3, 2, 4) and above.shape == (3, 2, 2)
