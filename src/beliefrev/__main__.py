@@ -1,0 +1,5 @@
+"""``python -m beliefrev`` runs the ``beliefrev`` command."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

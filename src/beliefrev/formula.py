@@ -6,14 +6,12 @@ valuation's bits; runs of & and of | compile flat. The same function
 builds, on request, the formula's truth table as one int of 2**n bits. An
 atom outside the signature is an input error (UnknownAtomError) wherever a
 formula is parsed or compiled, reached or not. Nesting is bounded twice,
-both times as an input error: evaluation at Python's compiler limit
-(ResourceBoundError), and parsing at its recursion limit
-(FormulaSyntaxError). Called at the top of a fresh Python 3.11.7
-interpreter, parsing takes 496 bare parentheses, 331 levels of
-``(p -> (p -> ... q))``, 993 ``~`` or a 994-term ``->`` chain, fewer
-under deeper callers (346 parentheses under 300 frames); runs of & and |
-cost no depth. The syntax is plain ASCII, so files stay
-hand-writable:
+both times as an input error: parsing by a fixed budget
+(FormulaSyntaxError), which takes 496 bare parentheses, 331 levels of
+``(p -> (p -> ... q))``, 993 ``~`` or a 994-term ``->`` chain at any
+caller depth, runs of & and | costing none; and evaluation at Python's
+compiler limit (ResourceBoundError). The syntax is plain ASCII, so files
+stay hand-writable:
 
     ~  !      negation
     &         conjunction
@@ -382,75 +380,86 @@ def to_text(formula: Formula) -> str:
 
 # --- parsing ----------------------------------------------------------------
 
-# One scanner: an operator or punctuation mark, a word, or (group 3) the first
-# character that is neither. Whitespace matches no group and is skipped.
-_OPERATORS = "|".join(map(re.escape, _SYMBOL.values()))
-_TOKEN_RE = re.compile(rf"({_OPERATORS}|[()~!])|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
-_KIND = {symbol: kind for kind, symbol in _SYMBOL.items()}
+# Tokens are operators, punctuation marks and words; whitespace separates
+# them. The scan matches as many tokens as it can, so it ends at the first
+# character that starts none.
+_TOKEN = "|".join(map(re.escape, _SYMBOL.values())) + r"|[()~!]|[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(_TOKEN)
+_SCAN_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*")
+# Operator -> (node class, level, level of its right operand: tighter for _LEFT)
+_BINARY = {s: (k, _PREC[k], _PREC[k] + (k in _LEFT)) for k, s in _SYMBOL.items()}
+# The nesting a parse may hold: 2 per open parenthesis, 1 per pending negation
+# or right operand. 993 keeps the bounds the recursive parser had at top level.
+_NESTING_BUDGET = 993
+_OPEN, _NEG = "(", "~"  # pending stack entries, besides operator triples
+_PENDING = {"(": _OPEN, "~": _NEG, "!": _NEG}
 
 
-class _Parser:
-    """Precedence climbing (Pratt 1973) over the printer's ``_PREC`` and
-    ``_LEFT``: one method per operand, one per run of binary operators."""
-
-    def __init__(self, text: str, sig: Signature):
-        self.sig = sig
-        self.tokens: list[tuple[str, int]] = []  # (text, 1-based position)
-        for m in _TOKEN_RE.finditer(text):
-            if m.lastindex == 3:
-                raise FormulaSyntaxError(f"unexpected character {m[3]!r}", m.start() + 1)
-            self.tokens.append((m[0], m.start() + 1))
-        self.tokens.append(("", len(text) + 1))
-        self.i = 0
-
-    def binary(self, level: int) -> Formula:
-        """An operand followed by the binary operators that bind at ``level``
-        or tighter; a left-associative one takes a tighter right operand."""
-        left = self.unary()
-        while (kind := _KIND.get(self.tokens[self.i][0])) and _PREC[kind] >= level:
-            self.i += 1
-            left = kind(left, self.binary(_PREC[kind] + (kind in _LEFT)))
-        return left
-
-    def unary(self) -> Formula:
-        """A negation, a parenthesised formula, a constant or an atom."""
-        token, at = self.tokens[self.i]
-        if not token:  # the end marker is never consumed
-            raise FormulaSyntaxError("unexpected end of input", at)
-        self.i += 1
-        if token in ("~", "!"):
-            return Not(self.unary())
-        if token == "(":
-            inner = self.binary(0)
-            if self.tokens[self.i][0] != ")":
-                raise FormulaSyntaxError("expected ')'", self.tokens[self.i][1])
-            self.i += 1
-            return inner
-        if token in _RESERVED:
-            return TOP if token == "T" else BOT
-        if _NAME_RE.match(token):
-            if token not in self.sig:
-                raise UnknownAtomError(token)
-            return Atom(token)
-        raise FormulaSyntaxError(f"unexpected token {token!r}", at)
+def _error(message: str, text: str, i: int) -> FormulaSyntaxError:
+    """``message`` at token ``i``'s 1-based position; the end marker's is past the text."""
+    starts = [m.start() for m in itertools.islice(_TOKEN_RE.finditer(text), i + 1)]
+    return FormulaSyntaxError(message, starts[i] + 1 if i < len(starts) else len(text) + 1)
 
 
 def parse(text: str, sig: Signature) -> Formula:
     """Parse formula text relative to a signature by the precedence and
-    associativity that :func:`to_text` prints with.
+    associativity that :func:`to_text` prints with: precedence climbing
+    (Pratt 1973) over the printer's ``_PREC`` and ``_LEFT``, with pending
+    negations, parentheses and operators on an explicit stack.
 
     Raises :class:`FormulaSyntaxError` with a 1-based character position for
-    malformed input or nesting past the recursion limit (bounds measured in
+    malformed input or nesting past ``_NESTING_BUDGET`` (the bounds are in
     the module docstring) and :class:`UnknownAtomError` for undeclared atoms.
     """
-    parser = _Parser(text, sig)
-    try:
-        formula = parser.binary(0)
-    except RecursionError:
-        raise FormulaSyntaxError(
-            "formula is nested too deeply", parser.tokens[parser.i][1]
-        ) from None
-    token, at = parser.tokens[parser.i]
-    if token:
-        raise FormulaSyntaxError(f"unexpected token {token!r}", at)
-    return formula
+    end = _SCAN_RE.match(text).end()
+    if end < len(text):
+        raise FormulaSyntaxError(f"unexpected character {text[end]!r}", end + 1)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end marker, never consumed
+    stack: list = []  # _OPEN, _NEG or (node class, left operand, right level)
+    opens = i = 0  # nesting spent is len(stack) + opens
+    while True:
+        token = tokens[i]  # an operand is due
+        i += 1
+        if token in _PENDING:
+            stack.append(_PENDING[token])
+            opens += token == "("
+            if len(stack) + opens > _NESTING_BUDGET:
+                raise _error("formula is nested too deeply", text, i - 1)
+            continue
+        if token in _RESERVED:
+            f = TOP if token == "T" else BOT
+        elif token in sig.atoms:
+            f = Atom(token)
+        elif not token:
+            raise _error("unexpected end of input", text, i - 1)
+        elif token in _BINARY or token == ")":
+            raise _error(f"unexpected token {token!r}", text, i - 1)
+        else:
+            raise UnknownAtomError(token)
+        while True:  # f is a whole operand; an operator, ')' or the end is due
+            while stack and stack[-1] is _NEG:
+                stack.pop()
+                f = Not(f)
+            token = tokens[i]
+            binary = _BINARY.get(token)
+            # A pending operator whose right operand binds tighter than this
+            # operator takes f; the end, ')' or a stray token closes them all.
+            while stack and type(top := stack[-1]) is tuple and (not binary or binary[1] < top[2]):
+                stack.pop()
+                f = top[0](top[1], f)
+            if binary:
+                stack.append((binary[0], f, binary[2]))
+                i += 1
+                if len(stack) + opens > _NESTING_BUDGET:
+                    raise _error("formula is nested too deeply", text, i - 1)
+                break
+            if not stack:
+                if token:
+                    raise _error(f"unexpected token {token!r}", text, i)
+                return f
+            if token != ")":  # the top is an open parenthesis
+                raise _error("expected ')'", text, i)
+            stack.pop()
+            opens -= 1
+            i += 1

@@ -109,13 +109,20 @@ def _equal_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _strict(m: np.ndarray) -> np.ndarray:
-    return m & ~m.T
+    """The strict part of a relation, or of each in a stack of them."""
+    return m & ~m.swapaxes(-1, -2)
 
 
 def _minimal(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The worlds of ``s`` that no world of ``s`` is strictly below in ``m``;
-    each row of a stack of world sets on its own."""
-    return s & ~(s[..., :, None] & _strict(m)).any(axis=-2)
+    each row of a stack of world sets, against each relation of a stack of
+    them, on its own. Only the worlds some set holds are read."""
+    held = s.reshape(-1, s.shape[-1]).any(axis=0).nonzero()[0]
+    t, sub = s[..., held], m.take(held, axis=-1).take(held, axis=-2)
+    below = (t[..., :, None] & _strict(sub)).any(axis=-2)
+    out = np.zeros(below.shape[:-1] + s.shape[-1:], dtype=bool)
+    out[..., held] = t & ~below
+    return out
 
 
 def transitive_closure(n: int, pairs: Iterable[tuple[int, int]]) -> np.ndarray:

@@ -317,6 +317,16 @@ def test_250_levels_of_parenthesised_operands_parse_in_a_fresh_interpreter(model
     assert done.stdout.startswith("atoms: p q\n")
 
 
+def test_python_m_beliefrev_runs_the_command():
+    src = str(Path(beliefrev.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "beliefrev", "--help"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: beliefrev ")
+
+
 def test_negation_chains_across_the_parse_limit_are_answered_or_refused(
     capsys, tmp_path, model_file
 ):

@@ -121,6 +121,41 @@ def test_parse_errors_carry_position():
     assert unk.value.atom == "r"
 
 
+# The deepest text of each shape that parses; one level more is refused at
+# the last occurrence of the token given, the one that crosses the budget.
+NESTING_BOUNDS = {
+    "parentheses": (496, lambda n: "(" * n + "p" + ")" * n, "("),
+    "operand levels": (331, lambda n: "(p -> " * n + "q" + ")" * n, "("),
+    "negations": (993, lambda n: "~" * n + "p", "~"),
+    "-> terms": (994, lambda n: " -> ".join(["p"] * n), "->"),
+}
+
+
+def under_frames(frames, call):
+    return call() if frames == 0 else under_frames(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+@pytest.mark.parametrize("shape", NESTING_BOUNDS)
+def test_the_nesting_bounds_are_exact_at_any_caller_depth(shape, frames):
+    n, text, crossing = NESTING_BOUNDS[shape]
+    under_frames(frames, lambda: parse(text(n), SIG_PQ))
+    deeper = text(n + 1)
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply") as err:
+        under_frames(frames, lambda: parse(deeper, SIG_PQ))
+    assert err.value.position == deeper.rfind(crossing) + 1
+
+
+@pytest.mark.parametrize("kind", [And, Or])
+def test_a_20000_term_left_associative_chain_parses_flat(kind):
+    text = f" {'&' if kind is And else '|'} ".join(["p"] * 20000)
+    f, terms = parse(text, SIG_PQ), 1
+    while isinstance(f, kind):  # down the left spine, without recursion
+        assert f.right == Atom("p")
+        f, terms = f.left, terms + 1
+    assert (f, terms) == (Atom("p"), 20000)
+
+
 def test_print_parse_round_trip_is_structural():
     rng = random.Random(7)
     samples = [random_formula(rng, SIG_PQ) for _ in range(300)]

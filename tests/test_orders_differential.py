@@ -16,7 +16,7 @@ from beliefrev import PreferenceModel, Valuation, World
 from beliefrev.errors import ModelInvariantError
 from beliefrev.files import dump_model, model_to_dot
 from beliefrev.formula import BOT, TOP
-from beliefrev.semantics import enumerate_preorders, min_worlds
+from beliefrev.semantics import _minimal, enumerate_preorders, min_worlds
 from helpers import SIG_PQ, canonical_pq, pool
 
 FORMULAS = pool() + (TOP, BOT)
@@ -67,6 +67,43 @@ def preorders(draw):
 def test_random_preorders_match_the_loop_reference(model, other):
     assert_same_queries(model, reversed_copy(model))
     assert_same_queries(model, other)
+
+
+# --- minimal worlds of stacks of sets and of relations ---------------------------
+
+
+def loop_minimal(model, held):
+    """The loop reference's minimal worlds of the submodel on the world
+    indices ``held``, as a mask over ``model``'s worlds."""
+    ids = [model.ids[k] for k in held]
+    found = reference.min_worlds(model.restricted_to(ids), TOP) if ids else ()
+    return np.isin(model.ids, [w.id for w in found])
+
+
+@settings(max_examples=100, deadline=None)
+@given(preorders(), st.data())
+def test_minimal_worlds_of_a_stack_of_subsets_match_the_loop_reference(model, data):
+    n = len(model.worlds)
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
+    subsets = np.array(rows, dtype=bool).reshape(len(rows), n)
+    got = _minimal(subsets, model.matrix)
+    assert got.shape == subsets.shape
+    for row, subset in zip(got, subsets):
+        assert (row == loop_minimal(model, np.flatnonzero(subset))).all()
+
+
+def test_minimal_worlds_against_a_stack_of_relations_are_taken_relation_by_relation():
+    rng = np.random.default_rng(5)
+    relations = np.array(list(enumerate_preorders(4)))
+    worlds = canonical_pq()
+    for _ in range(200):
+        stack = relations[rng.choice(len(relations), size=3)]
+        subsets = rng.random((5, 4)) < rng.random()
+        models = [PreferenceModel(worlds, m) for m in stack]
+        expected = [[loop_minimal(m, np.flatnonzero(s)) for m in models] for s in subsets]
+        assert (_minimal(subsets[:, None], stack) == expected).all()
+        assert (_minimal(subsets[0], stack) == expected[0]).all()
+        assert (_minimal(subsets, stack[0]) == [row[0] for row in expected]).all()
 
 
 # --- transitivity: the up-set count test against the product --------------------

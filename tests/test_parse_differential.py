@@ -80,3 +80,25 @@ def test_padded_printed_formulas_parse_like_the_reference(drawn):
     assert_same_outcome(text)
     if "zz" not in formula.atoms():
         assert parse(text, SIG_PQR) == formula
+
+
+OPENERS = st.sampled_from(
+    ["~", "!", "(", "~(", "(~", "(p -> ", "q -> ", "(q <-> ", "r | (", "(p & "]
+)
+CORES = st.sampled_from(["p", "zz", "q & ~r", "p -> q", "", "p)", "(p", "@", "p q", "T | F"])
+
+
+@st.composite
+def deep_texts(draw):
+    """A short core inside up to 60 openers that mix ``~``, ``(`` and
+    right-nested ``->``, closed by as many ``)`` as they opened, give or
+    take one."""
+    openers = draw(st.lists(OPENERS, max_size=60))
+    closing = sum(o.count("(") for o in openers) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return "".join(openers) + draw(CORES) + ")" * max(closing, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(deep_texts())
+def test_deeply_nested_texts_parse_like_the_reference(text):
+    assert_same_outcome(text)
