@@ -30,6 +30,7 @@ every graph it checks at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -110,6 +111,15 @@ class PGraph:
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
+
+    @functools.cached_property
+    def predecessors(self) -> tuple[int, ...]:
+        """Each node's strict predecessors as an int node set (bit i is the
+        i-th node), read off the closed order's columns on first use and
+        kept, as a graph is immutable. Not built at construction: the harmony
+        sweep builds 4,296 graphs at bound 3 that never reach a condition."""
+        cols = self._matrix.T.tolist()
+        return tuple(sum(1 << i for i, on in enumerate(col) if on) for col in cols)
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -286,7 +296,7 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
 
 def strict_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     """All strict partial orders on ``n`` labelled elements, as edge sets of
-    index pairs. 1 for n<=1, 3 for n=2, 19 for n=3."""
+    index pairs. 1 for n<=1, 3 for n=2, 19 for n=3; n past 4 is refused."""
     for edges in _preorder_edges(n):
         if not any((b, a) in edges for a, b in edges):
             yield edges
@@ -296,9 +306,10 @@ def enumerate_pgraphs(
     pool: Sequence[Formula], max_nodes: int
 ) -> Iterator[PGraph]:
     """Every graph with up to ``max_nodes`` nodes labelled from ``pool``:
-    all label multisets crossed with all strict orders, in a fixed order."""
-    for k in range(max_nodes + 1):
-        orders = list(strict_orders(k))
+    all label multisets crossed with all strict orders, in a fixed order.
+    All sizes' orders are listed first, so an oversized bound raises at once."""
+    by_size = [list(strict_orders(k)) for k in range(max_nodes + 1)]
+    for k, orders in enumerate(by_size):
         for combo in itertools.combinations_with_replacement(pool, k):
             for order in orders:
                 labels = {f"n{i}": f for i, f in enumerate(combo)}

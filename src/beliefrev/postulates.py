@@ -8,7 +8,8 @@ The syntactic checkers take a priority graph, the formula, and a transformed
 graph, and decide the finite quantifications over node labels that are
 sufficient for the corresponding postulate when they hold of a
 transformation on every input; all but recalcitrance are one counterpart
-search between the two graphs, over integer node sets built from one
+search between the two graphs, over the graphs' own strict-predecessor
+node sets (:attr:`PGraph.predecessors`) and integer node sets built from one
 integer truth table per label (bit k is the label's value at the k-th
 valuation of the signature), memoised with the label's compiled code.
 
@@ -29,7 +30,6 @@ the signature's 20: at 18 atoms on a 2-node graph, ``cond_dp1`` took 0.05 to
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,7 +88,7 @@ _MASKS = {
     "rec": lambda s, b, a: s[:, None] & ~s & ~_strict(a),
     "ind": lambda s, b, a: s[:, None] & ~s & b & ~_strict(a),
     "faith": lambda s, b, a: (_minimal(s, b) != _minimal(np.ones_like(s), a)) & s.any(),
-    "cb": lambda s, b, a: ~_minimal(s, b)[:, None] & ~_minimal(s, b) & (b != a),
+    "cb": lambda s, b, a: ~(m := _minimal(s, b))[:, None] & ~m & (b != a),
 }
 
 
@@ -191,21 +191,7 @@ _RELATIONS = {
 }
 
 
-def _node_sets(matrix: np.ndarray) -> list[int]:
-    """Each column of a boolean node matrix as an int node set: bit i is
-    row i. Column j of a closed graph order is node j's strict
-    predecessors."""
-    out = []
-    for column in matrix.T.tolist():
-        nodes = 0
-        for i, on in enumerate(column):
-            if on:
-                nodes |= 1 << i
-        out.append(nodes)
-    return out
-
-
-def _union(sets: list[int], nodes: int) -> int:
+def _union(sets: Sequence[int], nodes: int) -> int:
     """The union of ``sets[i]`` over the members i of the node set ``nodes``."""
     out = 0
     for i, members in enumerate(sets):
@@ -219,7 +205,8 @@ class _Counterparts:
     on one (before, by, after) triple, over int node sets: ``rel[0][b]`` is
     the set of transformed nodes related to original node b, ``rel[1][a]``
     the set of original nodes related to transformed node a,
-    ``preds[side][n]`` the strict predecessors of node n of that side, and
+    ``preds[side][n]`` the strict predecessors of node n of that side, as
+    the graph holds them (:attr:`PGraph.predecessors`), and
     ``is_by`` the transformed nodes whose labels are equivalent to the
     revision formula. An atom outside ``sig`` raises first, as the module
     docstring says."""
@@ -236,7 +223,7 @@ class _Counterparts:
                 if test(s, fb, ga):
                     self.rel[0][b] |= 1 << a
                     self.rel[1][a] |= 1 << b
-        self.preds = (_node_sets(before.matrix), _node_sets(after.matrix))
+        self.preds = (before.predecessors, after.predecessors)
         self.is_by = sum(1 << a for a, ga in enumerate(g) if ga == s)
 
     def unmatched(self, clause: str, outer_after: bool, match_after: bool,
@@ -335,15 +322,12 @@ def cond_rec(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
         _compiled(formula, sig)  # raises at the leftmost unknown atom, in the documented order
     bad: list[tuple[str, str, str]] = []
     labels = after.labels
-    # column j of the closed order marks the strict predecessors of node j
-    for (n_xi, xi), column in zip(labels.items(), after.matrix.T.tolist()):
-        if equivalent(xi, TOP, sig) or equivalent(xi, BOT, sig):
-            continue
-        if entails(xi, by, sig):
+    for (n_xi, xi), preds in zip(labels.items(), after.predecessors):
+        if equivalent(xi, TOP, sig) or equivalent(xi, BOT, sig) or entails(xi, by, sig):
             continue
         if any(
             not equivalent(psi, BOT, sig) and entails(psi, by, sig)
-            for psi in itertools.compress(labels.values(), column)
+            for i, psi in enumerate(labels.values()) if preds >> i & 1
         ):
             continue
         bad.append(("1", n_xi, str(xi)))

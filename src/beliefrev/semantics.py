@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ModelInvariantError, WorldSetMismatchError
+from .errors import ModelInvariantError, ResourceBoundError, WorldSetMismatchError
 from .formula import Formula, Signature, Valuation, _compiled
 
 
@@ -475,7 +475,10 @@ def null_change(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
 
 def _preorder_edges(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     """Every set of off-diagonal index pairs on ``n`` elements whose
-    reflexive closure is transitive, by brute force in a fixed order."""
+    reflexive closure is transitive, by brute force over the 2^(n(n-1))
+    subsets in a fixed order; past n = 4 (4,096 subsets) it raises first."""
+    if n > 4:
+        raise ResourceBoundError(f"{n} elements exceed the order enumeration limit of 4")
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
     for picks in itertools.product((False, True), repeat=len(cells)):
         chosen = frozenset(c for c, on in zip(cells, picks) if on)
@@ -485,7 +488,7 @@ def _preorder_edges(n: int) -> Iterator[frozenset[tuple[int, int]]]:
 
 def enumerate_preorders(n: int) -> Iterator[np.ndarray]:
     """All reflexive transitive relations on ``n`` elements, in a fixed
-    order. There are 4 for n=2 and 29 for n=3; meant for small n only."""
+    order. There are 4 for n=2 and 29 for n=3; n past 4 is refused."""
     for edges in _preorder_edges(n):
         mat = np.eye(n, dtype=bool)
         for i, j in edges:

@@ -17,7 +17,13 @@ from beliefrev import (
     graph_from_preorder,
     graphs_equivalent,
 )
-from beliefrev.errors import GraphCycleError, GraphSelfLoopError, NotRepresentableError, UnknownAtomError
+from beliefrev.errors import (
+    GraphCycleError,
+    GraphSelfLoopError,
+    NotRepresentableError,
+    ResourceBoundError,
+    UnknownAtomError,
+)
 from beliefrev.formula import TOP
 from beliefrev.pgraph import (
     _stack,
@@ -112,6 +118,25 @@ def test_order_matrix_and_prec_match_warshall(g):
     assert np.array_equal(g.matrix, np.array(expected, dtype=bool).reshape(len(ids), len(ids)))
     assert not g.matrix.flags.writeable
     assert g.prec() == closure
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_predecessors_are_the_columns_of_the_warshall_closure(rng):
+    g = random_pgraph(rng, SIG_PQ, max_nodes=9)
+    closure, ids = oracle_prec(g), g.node_ids
+    assert len(g.predecessors) == len(ids)
+    for j, preds in enumerate(g.predecessors):
+        assert preds >> len(ids) == 0
+        for i, a in enumerate(ids):
+            assert bool(preds >> i & 1) == ((a, ids[j]) in closure)
+
+
+def test_predecessors_are_read_once():
+    assert PGraph({}).predecessors == ()
+    g = graph({"a": "p", "b": "q", "c": "p | q"}, [("a", "b"), ("b", "c")])
+    assert g.predecessors == (0, 0b001, 0b011)
+    assert g.predecessors is g.predecessors
 
 
 def test_closure_is_computed_from_stored_edges():
@@ -526,6 +551,21 @@ def test_enumerate_pgraphs_counts():
     assert sum(1 for _ in enumerate_pgraphs(labels, 0)) == 1
     assert sum(1 for _ in enumerate_pgraphs(labels, 1)) == 6
     assert sum(1 for _ in enumerate_pgraphs(labels, 2)) == 51
+
+
+def test_strict_orders_refuse_more_than_four_elements():
+    assert sum(1 for _ in strict_orders(4)) == 219
+    with pytest.raises(ResourceBoundError, match="5 elements exceed the order enumeration limit of 4"):
+        next(strict_orders(5))
+
+
+def test_enumerate_pgraphs_refuses_an_oversized_bound_before_its_first_graph(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("beliefrev.pgraph.PGraph", no_graph)
+    with pytest.raises(ResourceBoundError):
+        next(enumerate_pgraphs(pool(), 5))
 
 
 def test_enumerate_pgraphs_keeps_its_order_with_strict_orders_computed_once():

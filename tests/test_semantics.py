@@ -11,7 +11,7 @@ from beliefrev import (
     lex_revise,
     natural_revise,
 )
-from beliefrev.errors import ModelInvariantError
+from beliefrev.errors import ModelInvariantError, ResourceBoundError
 from beliefrev.files import parse_model_file
 from beliefrev.formula import BOT, TOP
 from beliefrev.semantics import (
@@ -239,6 +239,12 @@ def test_enumerate_preorders_counts():
     assert sum(1 for _ in enumerate_preorders(1)) == 1
     assert sum(1 for _ in enumerate_preorders(2)) == 4
     assert sum(1 for _ in enumerate_preorders(3)) == 29
+
+
+def test_enumerate_preorders_refuses_more_than_four_elements():
+    assert sum(1 for _ in enumerate_preorders(4)) == 355
+    with pytest.raises(ResourceBoundError, match="5 elements exceed the order enumeration limit of 4"):
+        next(enumerate_preorders(5))
 
 
 def test_worlds_can_share_valuations():

@@ -222,3 +222,12 @@ def test_relevance_check_rejects_non_equivalent_input_pairs():
 def test_relevance_check_rejects_a_negative_node_bound():
     with pytest.raises(ResourceBoundError, match="node bound -1 is negative"):
         relevance_check(PREFIX, [], pool(), SIG_PQ, node_bound=-1)
+
+
+def test_relevance_check_refuses_a_node_bound_past_the_order_enumeration(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("beliefrev.pgraph.PGraph", no_graph)
+    with pytest.raises(ResourceBoundError, match="5 elements exceed the order enumeration limit of 4"):
+        relevance_check(PREFIX, [], pool(), SIG_PQ, node_bound=5)
