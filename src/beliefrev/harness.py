@@ -289,7 +289,9 @@ def sweep_harmony(
     original canonical model.
 
     Graphs are enumerated and prefixed one by one, then checked as a stack
-    (:func:`_harmony_mismatches`)."""
+    (:func:`_harmony_mismatches`). No order is closed here: each graph
+    takes its enumerated order, and each prefixed graph its written order,
+    as a closed matrix that its construction proves strict and transitive."""
     if bound < 0:
         raise ResourceBoundError(f"node bound {bound} is negative")
     if bound > 3:
@@ -330,12 +332,13 @@ def _harmony_mismatches(
     the graph's canonical order by ``formula``.
 
     The pool is evaluated first, so its unknown atoms raise first, then the
-    stack of each graph and its prefixed graphs. One kernel call induces
-    every order, and one call of :func:`lex_revise`'s step revises each
-    graph's order by every formula. All these relations are proved
-    reflexive and transitive at once, as each :class:`PreferenceModel` would
-    be. The first that fails, orders before revisions, is handed to
-    :class:`PreferenceModel` to raise its error.
+    stack of each graph and its prefixed graphs, which share label objects,
+    each evaluated once. One kernel call induces every order, and one call
+    of :func:`lex_revise`'s step revises each graph's order by every
+    formula. All these relations are proved reflexive and transitive at
+    once, as each :class:`PreferenceModel` would be. The first that fails,
+    orders before revisions, is handed to :class:`PreferenceModel` to raise
+    its error. The graphs' own orders were proved when they were built.
     """
     worlds = worlds_for_signature(sig)
     w, p = len(worlds), len(pool)

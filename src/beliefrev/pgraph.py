@@ -9,6 +9,16 @@ alias an existing one; the induced semantics depends only on labels and on
 nodes, and construction rejects self-loops and cycles, so no graph in
 hand needs a separate validity check.
 
+Every graph gets its matrix through one path, :meth:`PGraph._order`,
+which proves it: the diagonal is false, and one :func:`_compose` of the
+matrix with itself adds no pair, so it is transitive. No caller is
+trusted. Built from edges, a graph first checks them and closes them with
+:func:`transitive_closure`. A caller that holds an order already closed
+hands it to :meth:`PGraph._closed` and runs no closure: ``transforms.prefix``
+writes the prefixed order directly, :func:`enumerate_pgraphs` reuses the
+closed matrices of :func:`strict_orders`, and :func:`graph_from_preorder`
+builds an antichain.
+
 The induced order lifts node importance to worlds: ``w`` is at least as
 preferred as ``w'`` when every node formula satisfied by ``w'`` is either
 satisfied by ``w`` too, or is outranked by a strictly more important node
@@ -25,7 +35,9 @@ One kernel, :func:`induced_orders`, computes the induced orders of a stack
 of graphs over one world tuple, built by :func:`_stack`, which pads a graph
 to the largest with ``T``-like nodes, true at every world and unordered.
 :func:`induced_order` runs it on a stack of one, and the harmony sweep on
-every graph it checks at once.
+every graph it checks at once. ``_stack`` is array operations but for one
+pass over the labels, and a stack of one costs about what the kernel's
+input costs to build by hand: one row per label and the graph's matrix.
 """
 
 from __future__ import annotations
@@ -42,10 +54,11 @@ from .errors import (
     NotRepresentableError,
     SignatureTooLargeError,
 )
-from .formula import Formula, Or, Signature
+from .formula import _MEMO_SIZE, Formula, Or, Signature, Valuation
 from .semantics import (
     PreferenceModel,
     World,
+    _compose,
     _preorder_edges,
     _sat_vector,
     _tie_key,
@@ -82,16 +95,43 @@ class PGraph:
         if unknown:
             raise ValueError(f"edge endpoint {min(unknown)!r} is not a node")
         index = {n: i for i, n in enumerate(self._labels)}
-        self._matrix = transitive_closure(
-            len(index), [(index[a], index[b]) for a, b in self._edges]
-        )
-        self._matrix.setflags(write=False)
+        matrix = transitive_closure(len(index), [(index[a], index[b]) for a, b in self._edges])
         loop = next((n for n in self._labels if (n, n) in self._edges), None)
         if loop is not None:
             raise GraphSelfLoopError(loop)
-        on_cycle = self._matrix.diagonal()
+        on_cycle = matrix.diagonal()
         if on_cycle.any():
             raise GraphCycleError(self._find_cycle(self.node_ids[on_cycle.argmax()]))
+        self._order(matrix)
+
+    @classmethod
+    def _closed(
+        cls, labels: dict[str, Formula], edges: frozenset[tuple[str, str]], matrix: np.ndarray
+    ) -> PGraph:
+        """The graph on ``labels`` storing ``edges``, whose order is
+        ``matrix``, already closed: no closure is run, but :meth:`_order`
+        proves the matrix. The caller hands over ``labels`` and ``matrix``,
+        and ``edges`` must close to ``matrix``."""
+        graph = cls.__new__(cls)
+        graph._labels, graph._edges = labels, edges
+        graph._order(matrix)
+        return graph
+
+    def _order(self, matrix: np.ndarray) -> None:
+        """Keep ``matrix``, a square bool matrix over the nodes, read-only as
+        the order once it is proved strict: no node above itself, and one
+        :func:`_compose` shows it transitive. Every graph passes here."""
+        # count_nonzero, not any(): this runs once per graph, and on small
+        # matrices it costs a third as much.
+        if np.count_nonzero(matrix.diagonal()):
+            node = self.node_ids[matrix.diagonal().argmax()]
+            raise ValueError(f"order puts node {node!r} above itself")
+        missing = _compose(matrix, matrix) > matrix
+        if np.count_nonzero(missing):
+            a, c = (self.node_ids[i] for i in np.argwhere(missing)[0])
+            raise ValueError(f"order is not transitive: it lacks {a!r} above {c!r}")
+        matrix.setflags(write=False)
+        self._matrix = matrix
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -185,19 +225,34 @@ def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
 
 
 def _stack(graphs: Sequence[PGraph], worlds: Sequence[World]) -> tuple[np.ndarray, np.ndarray]:
-    """The padded ``(sat, above)`` input of :func:`induced_orders`. Each
+    """The padded ``(sat, above)`` input of :func:`induced_orders`, built
+    with no loop over nodes but the one that reads their labels. Each
     distinct label object is evaluated once, in (graph, node) order, so the
-    first graph's leftmost unknown atom raises first."""
-    nodes = [list(g.labels.values()) for g in graphs]
-    labels = {id(f): f for f in itertools.chain.from_iterable(nodes)}
-    rows = {key: _sat_vector(worlds, f) for key, f in labels.items()}
-    k = max(map(len, nodes), default=0)
-    sat = np.ones((len(graphs), k, len(worlds)), dtype=bool)
-    above = np.zeros((len(graphs), k, k), dtype=bool)
-    for i, (g, fs) in enumerate(zip(graphs, nodes)):
-        for j, f in enumerate(fs):
-            sat[i, j] = rows[id(f)]
-        above[i, : len(fs), : len(fs)] = g.matrix
+    first graph's leftmost unknown atom raises first. The rows are gathered
+    by index, a padding node taking an all-true row, unless the gather is
+    the identity: every node has its own label and no graph is padded, as
+    in most stacks of one. ``above`` stacks the graphs' orders, in one
+    masked fill when some graph is padded."""
+    nodes = [g._labels.values() for g in graphs]
+    sizes = [len(fs) for fs in nodes]
+    k = max(sizes, default=0)
+    shape = (len(graphs), k)
+    padded = k * len(graphs) > sum(sizes)
+    labels = {id(f): f for fs in nodes for f in fs}
+    rows = [_sat_vector(worlds, f) for f in labels.values()]
+    if padded:
+        rows.append(np.ones(len(worlds), dtype=bool))
+    table = np.array(rows, dtype=bool)
+    if padded or len(labels) < k * len(graphs):
+        where = dict(zip(labels, itertools.count()))
+        index = [[where[id(f)] for f in fs] + [-1] * (k - n) for fs, n in zip(nodes, sizes)]
+        table = table.take(index, axis=0)
+    sat = table.reshape(*shape, len(worlds))
+    if not padded:
+        return sat, np.array([g.matrix for g in graphs], dtype=bool).reshape(*shape, k)
+    node = np.arange(k) < np.array(sizes)[:, None]
+    above = np.zeros((*shape, k), dtype=bool)
+    above[node[:, :, None] & node[:, None, :]] = np.concatenate([g.matrix.ravel() for g in graphs])
     return sat, above
 
 
@@ -267,12 +322,28 @@ def _disjunction_of_minterms(valuations) -> Formula:
     return out
 
 
+# Labels of down-sets, by their valuations, so that every graph built for
+# one down-set shares one label object and its memoised compilation; the
+# oldest goes first, at the compile memo's bound.
+_down_labels: dict[frozenset[Valuation], Formula] = {}
+
+
+def _down_label(down: frozenset[Valuation]) -> Formula:
+    label = _down_labels.get(down)
+    if label is None:
+        if len(_down_labels) >= _MEMO_SIZE:
+            del _down_labels[next(iter(_down_labels))]
+        label = _down_labels[down] = _disjunction_of_minterms(down)
+    return label
+
+
 def graph_from_preorder(model: PreferenceModel) -> PGraph:
     """A priority graph inducing exactly ``model``'s order.
 
     Construction: an antichain with one node per world, labelled with the
     characteristic formula (a disjunction of valuation minterms) of that
-    world's down-set, i.e. the worlds at least as preferred as it.
+    world's down-set, i.e. the worlds at least as preferred as it. Equal
+    down-sets get one label object, reused across calls.
 
     Requires the model to be valuation-respecting: worlds sharing a
     valuation must be tied, since induced orders cannot distinguish them.
@@ -287,11 +358,11 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
     if len(untied):
         a, b = min(zip(first[untied], untied))
         raise NotRepresentableError(worlds[a].id, worlds[b].id)
-    labels: dict[str, Formula] = {}
-    for j, w in enumerate(worlds):
-        down = {worlds[i].valuation for i in np.flatnonzero(mat[:, j])}
-        labels[w.id] = _disjunction_of_minterms(down)
-    return PGraph(labels)
+    labels = {
+        w.id: _down_label(frozenset(worlds[i].valuation for i in np.flatnonzero(mat[:, j])))
+        for j, w in enumerate(worlds)
+    }
+    return PGraph._closed(labels, frozenset(), np.zeros((len(worlds), len(worlds)), dtype=bool))
 
 
 def strict_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -302,16 +373,31 @@ def strict_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
             yield edges
 
 
+@functools.lru_cache(maxsize=None)
+def _closed_orders(k: int) -> tuple[tuple[frozenset[tuple[str, str]], np.ndarray], ...]:
+    """Each order of :func:`strict_orders` on ``k`` nodes, as its edges
+    between ``n0``, ``n1``, ... and its matrix, closed as it stands. Built
+    once per size; the matrices are read-only, so graphs may share them."""
+    out = []
+    for order in strict_orders(k):
+        matrix = np.zeros((k, k), dtype=bool)
+        for a, b in order:
+            matrix[a, b] = True
+        matrix.setflags(write=False)
+        out.append((frozenset((f"n{a}", f"n{b}") for a, b in order), matrix))
+    return tuple(out)
+
+
 def enumerate_pgraphs(
     pool: Sequence[Formula], max_nodes: int
 ) -> Iterator[PGraph]:
     """Every graph with up to ``max_nodes`` nodes labelled from ``pool``:
     all label multisets crossed with all strict orders, in a fixed order.
-    All sizes' orders are listed first, so an oversized bound raises at once."""
-    by_size = [list(strict_orders(k)) for k in range(max_nodes + 1)]
+    All sizes' orders are listed first, so an oversized bound raises at once.
+    Each graph takes its order's closed matrix as it is, and proves it."""
+    by_size = [_closed_orders(k) for k in range(max_nodes + 1)]
     for k, orders in enumerate(by_size):
         for combo in itertools.combinations_with_replacement(pool, k):
-            for order in orders:
+            for edges, matrix in orders:
                 labels = {f"n{i}": f for i, f in enumerate(combo)}
-                edges = {(f"n{a}", f"n{b}") for a, b in order}
-                yield PGraph(labels, edges)
+                yield PGraph._closed(labels, edges, matrix)

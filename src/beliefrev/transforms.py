@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ResourceBoundError
+import numpy as np
+
+from .errors import BeliefRevError, ResourceBoundError
 from .formula import Formula, Signature
 from .pgraph import (
     PGraph,
@@ -40,11 +42,16 @@ class GraphTransformation:
 
 def prefix(graph: PGraph, formula: Formula) -> PGraph:
     """Add a fresh node labelled ``formula`` strictly more important than
-    every existing node; everything else is preserved."""
-    new_id = graph.fresh_node_id()
-    labels = {new_id: formula, **graph.labels}
-    edges = set(graph.edges) | {(new_id, node) for node in graph.node_ids}
-    return PGraph(labels, edges)
+    every existing node; everything else is preserved.
+
+    The prefixed order is written closed, with no closure run: the new
+    first node's row is full, its column empty, and the old order follows."""
+    new_id, n = graph.fresh_node_id(), len(graph)
+    order = np.zeros((n + 1, n + 1), dtype=bool)
+    order[0, 1:] = True
+    order[1:, 1:] = graph.matrix
+    edges = graph.edges | {(new_id, node) for node in graph.node_ids}
+    return PGraph._closed({new_id: formula, **graph.labels}, edges, order)
 
 
 def null_transform(graph: PGraph, formula: Formula) -> PGraph:
@@ -115,8 +122,9 @@ def relevance_check(
     exhaustive sweep of all graphs labelled from ``formulas`` up to
     ``node_bound`` nodes, grouped into equivalence classes; every candidate
     pair is then transformed by each of ``formulas``. A counterexample
-    verdict carries a re-verified witness; the absence of one only means
-    the sample was consistent.
+    verdict carries a witness whose inputs are re-verified equivalent, or
+    :class:`BeliefRevError` is raised; the absence of one only means the
+    sample was consistent.
     """
     if node_bound < 0:
         raise ResourceBoundError(f"node bound {node_bound} is negative")
@@ -143,7 +151,10 @@ def relevance_check(
             out_a = t(a, f)
             out_b = t(b, f)
             if not graphs_equivalent(out_a, out_b, sig):
-                assert graphs_equivalent(a, b, sig)
+                if not graphs_equivalent(a, b, sig):
+                    raise BeliefRevError(
+                        f"witness inputs are not equivalent on re-check: {a!r} vs {b!r}"
+                    )
                 return RelevanceVerdict(
                     "counterexample",
                     RelevanceWitness(a, b, f, out_a, out_b),

@@ -67,3 +67,11 @@ def test_names_the_demos_and_benchmark_take_from_the_root_resolve():
     for name, script in used.items():
         resolves = hasattr(beliefrev, name) or importlib.util.find_spec(f"beliefrev.{name}")
         assert resolves, f"{script} uses beliefrev.{name}"
+
+
+def test_the_package_has_no_assert_statement():
+    # ``python -O`` strips them, so a check the package relies on must raise.
+    for path in sorted((ROOT / "src" / "beliefrev").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name}: assert at lines {asserts}"

@@ -10,7 +10,7 @@ from beliefrev import (
     Valuation,
     World,
 )
-from beliefrev.errors import NotRepresentableError, ResourceBoundError
+from beliefrev.errors import BeliefRevError, NotRepresentableError, ResourceBoundError
 from beliefrev.pgraph import enumerate_pgraphs
 from beliefrev.transforms import (
     GraphTransformation,
@@ -212,6 +212,22 @@ def test_relevance_check_finds_the_inconsistent_hand_crafted_map():
     assert witness is not None
     assert graphs_equivalent(witness.graph_a, witness.graph_b, SIG_PQ)
     assert not graphs_equivalent(witness.output_a, witness.output_b, SIG_PQ)
+
+
+def test_a_witness_whose_inputs_fail_the_re_check_raises(monkeypatch):
+    # Equivalent when the pair is supplied, inequivalent on every later call:
+    # the outputs differ, and then so do the inputs on re-check.
+    calls = []
+
+    def first_call_only(a, b, sig):
+        calls.append((a, b))
+        return len(calls) == 1
+
+    monkeypatch.setattr("beliefrev.transforms.graphs_equivalent", first_call_only)
+    with pytest.raises(BeliefRevError, match="not equivalent on re-check") as err:
+        relevance_check(NULL, [(p_before_q(), four_chain())], [f("p")], SIG_PQ, node_bound=0)
+    assert not isinstance(err.value, AssertionError)
+    assert len(calls) == 3
 
 
 def test_relevance_check_rejects_non_equivalent_input_pairs():
