@@ -9,15 +9,18 @@ alias an existing one; the induced semantics depends only on labels and on
 nodes, and construction rejects self-loops and cycles, so no graph in
 hand needs a separate validity check.
 
-Every graph gets its matrix through one path, :meth:`PGraph._order`,
-which proves it: the diagonal is false, and one :func:`_compose` of the
-matrix with itself adds no pair, so it is transitive. No caller is
-trusted. Built from edges, a graph first checks them and closes them with
-:func:`transitive_closure`. A caller that holds an order already closed
-hands it to :meth:`PGraph._closed` and runs no closure: ``transforms.prefix``
-writes the prefixed order directly, :func:`enumerate_pgraphs` reuses the
-closed matrices of :func:`strict_orders`, and :func:`graph_from_preorder`
-builds an antichain.
+Every construction path proves its order strict and transitive, and none
+takes a caller's word for it. Built from edges, a graph closes them with
+:func:`transitive_closure`, transitive by construction, and refuses a
+cycle, the only way its diagonal can hold. A closed order handed in by a
+caller goes to :meth:`PGraph._closed`, which runs no closure but proves the
+matrix: its diagonal is false, and one :func:`_compose` of it with itself
+adds no pair. :func:`enumerate_pgraphs` hands over the closed matrices of
+:func:`strict_orders` this way. The rest write orders whose proof is their
+construction: ``transforms.prefix`` puts a new node above a proved order
+(:meth:`PGraph._prefixed`), and :func:`graph_from_preorder` builds an
+antichain. So only ``_closed`` pays a product, cubic in the node count,
+and only on the small orders the enumeration lists.
 
 The induced order lifts node importance to worlds: ``w`` is at least as
 preferred as ``w'`` when every node formula satisfied by ``w'`` is either
@@ -35,9 +38,10 @@ One kernel, :func:`induced_orders`, computes the induced orders of a stack
 of graphs over one world tuple, built by :func:`_stack`, which pads a graph
 to the largest with ``T``-like nodes, true at every world and unordered.
 :func:`induced_order` runs it on a stack of one, and the harmony sweep on
-every graph it checks at once. ``_stack`` is array operations but for one
-pass over the labels, and a stack of one costs about what the kernel's
-input costs to build by hand: one row per label and the graph's matrix.
+every graph it checks at once. ``_stack`` evaluates each label object
+once, makes ``sat`` in one array call and fills ``above`` one graph at a
+time, so a stack of one is cheap: a few microseconds above the kernel's
+input built by hand, one row per label and the graph's matrix.
 """
 
 from __future__ import annotations
@@ -95,43 +99,57 @@ class PGraph:
         if unknown:
             raise ValueError(f"edge endpoint {min(unknown)!r} is not a node")
         index = {n: i for i, n in enumerate(self._labels)}
-        matrix = transitive_closure(len(index), [(index[a], index[b]) for a, b in self._edges])
+        self._matrix = transitive_closure(
+            len(index), [(index[a], index[b]) for a, b in self._edges]
+        )
+        self._matrix.setflags(write=False)
         loop = next((n for n in self._labels if (n, n) in self._edges), None)
         if loop is not None:
             raise GraphSelfLoopError(loop)
-        on_cycle = matrix.diagonal()
+        on_cycle = self._matrix.diagonal()
         if on_cycle.any():
             raise GraphCycleError(self._find_cycle(self.node_ids[on_cycle.argmax()]))
-        self._order(matrix)
 
     @classmethod
     def _closed(
         cls, labels: dict[str, Formula], edges: frozenset[tuple[str, str]], matrix: np.ndarray
     ) -> PGraph:
         """The graph on ``labels`` storing ``edges``, whose order is
-        ``matrix``, already closed: no closure is run, but :meth:`_order`
-        proves the matrix. The caller hands over ``labels`` and ``matrix``,
-        and ``edges`` must close to ``matrix``."""
-        graph = cls.__new__(cls)
-        graph._labels, graph._edges = labels, edges
-        graph._order(matrix)
-        return graph
-
-    def _order(self, matrix: np.ndarray) -> None:
-        """Keep ``matrix``, a square bool matrix over the nodes, read-only as
-        the order once it is proved strict: no node above itself, and one
-        :func:`_compose` shows it transitive. Every graph passes here."""
-        # count_nonzero, not any(): this runs once per graph, and on small
-        # matrices it costs a third as much.
+        ``matrix``, a closed order handed in by the caller: no closure is
+        run, but the matrix is proved strict (no node above itself) and
+        transitive (one :func:`_compose` adds no pair), or refused with a
+        :class:`ValueError`. ``edges`` must close to ``matrix``."""
+        ids = tuple(labels)
         if np.count_nonzero(matrix.diagonal()):
-            node = self.node_ids[matrix.diagonal().argmax()]
-            raise ValueError(f"order puts node {node!r} above itself")
+            raise ValueError(f"order puts node {ids[matrix.diagonal().argmax()]!r} above itself")
         missing = _compose(matrix, matrix) > matrix
         if np.count_nonzero(missing):
-            a, c = (self.node_ids[i] for i in np.argwhere(missing)[0])
+            a, c = (ids[i] for i in np.argwhere(missing)[0])
             raise ValueError(f"order is not transitive: it lacks {a!r} above {c!r}")
+        return cls._built(labels, edges, matrix)
+
+    @classmethod
+    def _built(
+        cls, labels: dict[str, Formula], edges: frozenset[tuple[str, str]], matrix: np.ndarray
+    ) -> PGraph:
+        """The graph whose order is ``matrix``, kept read-only as it is: for
+        orders this module has built strict and closed, or proved so."""
+        graph = cls.__new__(cls)
+        graph._labels, graph._edges, graph._matrix = labels, edges, matrix
         matrix.setflags(write=False)
-        self._matrix = matrix
+        return graph
+
+    def _prefixed(self, formula: Formula) -> PGraph:
+        """This graph with a fresh first node labelled ``formula`` above every
+        node. Its order is written closed from this one's: the new node's row
+        is full and its column empty, so it is above every node and below
+        none, and the old order, strict and transitive, follows."""
+        new_id, n = self.fresh_node_id(), len(self)
+        order = np.zeros((n + 1, n + 1), dtype=bool)
+        order[0, 1:] = True
+        order[1:, 1:] = self._matrix
+        edges = self._edges | {(new_id, node) for node in self._labels}
+        return PGraph._built({new_id: formula, **self._labels}, edges, order)
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -226,34 +244,21 @@ def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
 
 def _stack(graphs: Sequence[PGraph], worlds: Sequence[World]) -> tuple[np.ndarray, np.ndarray]:
     """The padded ``(sat, above)`` input of :func:`induced_orders`, built
-    with no loop over nodes but the one that reads their labels. Each
+    with no loop over nodes but the ones that read their labels. Each
     distinct label object is evaluated once, in (graph, node) order, so the
-    first graph's leftmost unknown atom raises first. The rows are gathered
-    by index, a padding node taking an all-true row, unless the gather is
-    the identity: every node has its own label and no graph is padded, as
-    in most stacks of one. ``above`` stacks the graphs' orders, in one
-    masked fill when some graph is padded."""
+    first graph's leftmost unknown atom raises first; ``sat`` is one array
+    of those rows, a padding node taking an all-true row, and each graph's
+    order fills its block of ``above``."""
     nodes = [g._labels.values() for g in graphs]
-    sizes = [len(fs) for fs in nodes]
-    k = max(sizes, default=0)
-    shape = (len(graphs), k)
-    padded = k * len(graphs) > sum(sizes)
+    k = max(map(len, nodes), default=0)
     labels = {id(f): f for fs in nodes for f in fs}
-    rows = [_sat_vector(worlds, f) for f in labels.values()]
-    if padded:
-        rows.append(np.ones(len(worlds), dtype=bool))
-    table = np.array(rows, dtype=bool)
-    if padded or len(labels) < k * len(graphs):
-        where = dict(zip(labels, itertools.count()))
-        index = [[where[id(f)] for f in fs] + [-1] * (k - n) for fs, n in zip(nodes, sizes)]
-        table = table.take(index, axis=0)
-    sat = table.reshape(*shape, len(worlds))
-    if not padded:
-        return sat, np.array([g.matrix for g in graphs], dtype=bool).reshape(*shape, k)
-    node = np.arange(k) < np.array(sizes)[:, None]
-    above = np.zeros((*shape, k), dtype=bool)
-    above[node[:, :, None] & node[:, None, :]] = np.concatenate([g.matrix.ravel() for g in graphs])
-    return sat, above
+    rows = {key: _sat_vector(worlds, f) for key, f in labels.items()}
+    pad = [np.ones(len(worlds), dtype=bool)]
+    sat = np.array([[rows[id(f)] for f in fs] + pad * (k - len(fs)) for fs in nodes], dtype=bool)
+    above = np.zeros((len(graphs), k, k), dtype=bool)
+    for i, g in enumerate(graphs):
+        above[i, : len(g), : len(g)] = g.matrix
+    return sat.reshape(len(graphs), k, len(worlds)), above
 
 
 def induced_orders(sat: np.ndarray, above: np.ndarray) -> np.ndarray:
@@ -322,19 +327,12 @@ def _disjunction_of_minterms(valuations) -> Formula:
     return out
 
 
-# Labels of down-sets, by their valuations, so that every graph built for
-# one down-set shares one label object and its memoised compilation; the
-# oldest goes first, at the compile memo's bound.
-_down_labels: dict[frozenset[Valuation], Formula] = {}
-
-
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _down_label(down: frozenset[Valuation]) -> Formula:
-    label = _down_labels.get(down)
-    if label is None:
-        if len(_down_labels) >= _MEMO_SIZE:
-            del _down_labels[next(iter(_down_labels))]
-        label = _down_labels[down] = _disjunction_of_minterms(down)
-    return label
+    """The label of a down-set, one object per set of valuations, so every
+    graph built for it shares the label's memoised compilation. Bounded like
+    the compile memo: past it a label would be compiled anew anyway."""
+    return _disjunction_of_minterms(down)
 
 
 def graph_from_preorder(model: PreferenceModel) -> PGraph:
@@ -362,7 +360,7 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
         w.id: _down_label(frozenset(worlds[i].valuation for i in np.flatnonzero(mat[:, j])))
         for j, w in enumerate(worlds)
     }
-    return PGraph._closed(labels, frozenset(), np.zeros((len(worlds), len(worlds)), dtype=bool))
+    return PGraph._built(labels, frozenset(), np.zeros((len(worlds), len(worlds)), dtype=bool))
 
 
 def strict_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:

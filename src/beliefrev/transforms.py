@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import BeliefRevError, ResourceBoundError
 from .formula import Formula, Signature
 from .pgraph import (
@@ -42,16 +40,9 @@ class GraphTransformation:
 
 def prefix(graph: PGraph, formula: Formula) -> PGraph:
     """Add a fresh node labelled ``formula`` strictly more important than
-    every existing node; everything else is preserved.
-
-    The prefixed order is written closed, with no closure run: the new
-    first node's row is full, its column empty, and the old order follows."""
-    new_id, n = graph.fresh_node_id(), len(graph)
-    order = np.zeros((n + 1, n + 1), dtype=bool)
-    order[0, 1:] = True
-    order[1:, 1:] = graph.matrix
-    edges = graph.edges | {(new_id, node) for node in graph.node_ids}
-    return PGraph._closed({new_id: formula, **graph.labels}, edges, order)
+    every existing node; everything else is preserved. The prefixed order
+    is written closed from the graph's, with no closure run."""
+    return graph._prefixed(formula)
 
 
 def null_transform(graph: PGraph, formula: Formula) -> PGraph:

@@ -1,10 +1,11 @@
 """Graphs built from orders already closed.
 
-``PGraph._closed`` takes a closed order as it is and proves it strict and
-transitive; ``prefix``, ``enumerate_pgraphs`` and ``graph_from_preorder``
-build through it and run no closure. These tests compare that path with
+``PGraph._closed`` takes a closed order handed in as it is and proves it
+strict and transitive; ``enumerate_pgraphs`` builds through it. ``prefix``
+and ``graph_from_preorder`` write orders that are closed by construction.
+None of them runs a closure. These tests compare these paths with
 construction from edges and with Warshall's closure, check that a matrix
-failing the proof is refused, and pin the work the path removed.
+failing the proof is refused, and pin the work the paths removed.
 """
 
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 import beliefrev.formula
 from beliefrev import PGraph, graph_from_preorder, prefix, sweep_harmony
-from beliefrev.pgraph import enumerate_pgraphs, induce_model
+from beliefrev.files import parse_graph_file
+from beliefrev.formula import _MEMO_SIZE
+from beliefrev.pgraph import _down_label, enumerate_pgraphs, induce_model
 from helpers import (
     SIG_PQ,
     chain_fixture,
@@ -82,6 +85,28 @@ def test_prefix_enumeration_and_the_harmony_sweep_close_no_order(monkeypatch):
         PGraph({"a": f("p")})
 
 
+def test_only_an_order_handed_in_pays_the_transitivity_product(monkeypatch):
+    # The product is cubic in the node count; a graph file has no node limit.
+    def no_product(*args):
+        raise AssertionError("an order was multiplied")
+
+    n = 2048
+    chain = "\n".join(
+        ["atoms: p", *(f"node n{i}: p" for i in range(n)), *(f"n{i} < n{i + 1}" for i in range(n - 1))]
+    )
+    monkeypatch.setattr("beliefrev.pgraph._compose", no_product)
+    _, g = parse_graph_file(chain)
+    assert np.array_equal(g.matrix, np.triu(np.ones((n, n), dtype=bool), 1))
+    out = prefix(g, f("q"))
+    assert np.array_equal(out.matrix, np.triu(np.ones((n + 1, n + 1), dtype=bool), 1))
+    _, antichain = parse_graph_file("\n".join(["atoms: p", *(f"node n{i}: p" for i in range(n))]))
+    assert not prefix(antichain, f("q")).matrix[1:].any()
+    model = chain_fixture()
+    assert induce_model(graph_from_preorder(model), model.worlds) == model
+    with pytest.raises(AssertionError, match="an order was multiplied"):
+        PGraph._closed(g.labels, g.edges, g.matrix.copy())
+
+
 def test_graph_from_preorder_reuses_its_labels_and_compiles_nothing_again(monkeypatch):
     model = chain_fixture()
     first = graph_from_preorder(model)
@@ -98,6 +123,7 @@ def test_graph_from_preorder_reuses_its_labels_and_compiles_nothing_again(monkey
     assert all(second.label(n) is first.label(n) for n in first.node_ids)
     assert induce_model(second, model.worlds) == model
     assert compiled == []
+    assert _down_label.cache_info().maxsize == _MEMO_SIZE
 
 
 def test_tied_worlds_share_one_label_object():
