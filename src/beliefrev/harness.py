@@ -289,9 +289,9 @@ def sweep_harmony(
     original canonical model.
 
     Graphs are enumerated and prefixed one by one, then checked as a stack
-    (:func:`_harmony_mismatches`). No order is closed here: each graph
-    takes its enumerated order, and each prefixed graph its written order,
-    as a closed matrix that its construction proves strict and transitive."""
+    (:func:`_harmony_mismatches`). No order is closed or proved here: each
+    graph shares its enumerated order, and each prefixed graph takes its
+    written order, as a matrix closed by construction."""
     if bound < 0:
         raise ResourceBoundError(f"node bound {bound} is negative")
     if bound > 3:

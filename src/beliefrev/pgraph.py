@@ -9,18 +9,16 @@ alias an existing one; the induced semantics depends only on labels and on
 nodes, and construction rejects self-loops and cycles, so no graph in
 hand needs a separate validity check.
 
-Every construction path proves its order strict and transitive, and none
-takes a caller's word for it. Built from edges, a graph closes them with
-:func:`transitive_closure`, transitive by construction, and refuses a
-cycle, the only way its diagonal can hold. A closed order handed in by a
-caller goes to :meth:`PGraph._closed`, which runs no closure but proves the
-matrix: its diagonal is false, and one :func:`_compose` of it with itself
-adds no pair. :func:`enumerate_pgraphs` hands over the closed matrices of
-:func:`strict_orders` this way. The rest write orders whose proof is their
-construction: ``transforms.prefix`` puts a new node above a proved order
-(:meth:`PGraph._prefixed`), and :func:`graph_from_preorder` builds an
-antichain. So only ``_closed`` pays a product, cubic in the node count,
-and only on the small orders the enumeration lists.
+Graphs come from two constructors. :meth:`PGraph.__init__` takes edges,
+closes them with :func:`transitive_closure`, transitive by construction,
+and refuses a cycle, the only way its diagonal can hold.
+:meth:`PGraph._built` keeps a matrix as it stands, for orders this module
+wrote closed: :meth:`PGraph._prefixed` (behind ``transforms.prefix``) puts
+a new node above a graph's order, :func:`graph_from_preorder` builds an
+antichain, and :func:`enumerate_pgraphs` shares the matrices of
+:func:`_closed_orders`, each a closed strict order as written. So no
+function here takes a matrix from a caller, and no construction pays a
+relation product.
 
 The induced order lifts node importance to worlds: ``w`` is at least as
 preferred as ``w'`` when every node formula satisfied by ``w'`` is either
@@ -62,7 +60,6 @@ from .formula import _MEMO_SIZE, Formula, Or, Signature, Valuation
 from .semantics import (
     PreferenceModel,
     World,
-    _compose,
     _preorder_edges,
     _sat_vector,
     _tie_key,
@@ -111,29 +108,11 @@ class PGraph:
             raise GraphCycleError(self._find_cycle(self.node_ids[on_cycle.argmax()]))
 
     @classmethod
-    def _closed(
-        cls, labels: dict[str, Formula], edges: frozenset[tuple[str, str]], matrix: np.ndarray
-    ) -> PGraph:
-        """The graph on ``labels`` storing ``edges``, whose order is
-        ``matrix``, a closed order handed in by the caller: no closure is
-        run, but the matrix is proved strict (no node above itself) and
-        transitive (one :func:`_compose` adds no pair), or refused with a
-        :class:`ValueError`. ``edges`` must close to ``matrix``."""
-        ids = tuple(labels)
-        if np.count_nonzero(matrix.diagonal()):
-            raise ValueError(f"order puts node {ids[matrix.diagonal().argmax()]!r} above itself")
-        missing = _compose(matrix, matrix) > matrix
-        if np.count_nonzero(missing):
-            a, c = (ids[i] for i in np.argwhere(missing)[0])
-            raise ValueError(f"order is not transitive: it lacks {a!r} above {c!r}")
-        return cls._built(labels, edges, matrix)
-
-    @classmethod
     def _built(
         cls, labels: dict[str, Formula], edges: frozenset[tuple[str, str]], matrix: np.ndarray
     ) -> PGraph:
-        """The graph whose order is ``matrix``, kept read-only as it is: for
-        orders this module has built strict and closed, or proved so."""
+        """The graph whose order is ``matrix``, kept read-only as it is: only
+        for orders this module wrote strict and closed (module docstring)."""
         graph = cls.__new__(cls)
         graph._labels, graph._edges, graph._matrix = labels, edges, matrix
         matrix.setflags(write=False)
@@ -319,20 +298,15 @@ def graphs_equivalent(g1: PGraph, g2: PGraph, sig: Signature) -> bool:
     return canonical_model(g1, sig) == canonical_model(g2, sig)
 
 
-def _disjunction_of_minterms(valuations) -> Formula:
-    ordered = sorted(valuations, key=lambda v: v.bits, reverse=True)
-    out: Formula = ordered[0].minterm()
-    for v in ordered[1:]:
-        out = Or(out, v.minterm())
-    return out
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _down_label(down: frozenset[Valuation]) -> Formula:
-    """The label of a down-set, one object per set of valuations, so every
-    graph built for it shares the label's memoised compilation. Bounded like
-    the compile memo: past it a label would be compiled anew anyway."""
-    return _disjunction_of_minterms(down)
+    """The label of a down-set: its valuations' minterms, by bits descending,
+    joined by ``Or`` from the left. One object per set of valuations, so
+    every graph built for it shares the label's memoised compilation.
+    Bounded like the compile memo: past it a label would be compiled anew
+    anyway."""
+    ordered = sorted(down, key=lambda v: v.bits, reverse=True)
+    return functools.reduce(Or, (v.minterm() for v in ordered))
 
 
 def graph_from_preorder(model: PreferenceModel) -> PGraph:
@@ -374,8 +348,10 @@ def strict_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
 @functools.lru_cache(maxsize=None)
 def _closed_orders(k: int) -> tuple[tuple[frozenset[tuple[str, str]], np.ndarray], ...]:
     """Each order of :func:`strict_orders` on ``k`` nodes, as its edges
-    between ``n0``, ``n1``, ... and its matrix, closed as it stands. Built
-    once per size; the matrices are read-only, so graphs may share them."""
+    between ``n0``, ``n1``, ... and its matrix. Each matrix is a closed
+    strict order as written: its edge set is closed under composition and
+    holds no 2-cycle, and no cell of the diagonal is set. Built once per
+    size; the matrices are read-only, so graphs may share them."""
     out = []
     for order in strict_orders(k):
         matrix = np.zeros((k, k), dtype=bool)
@@ -392,10 +368,10 @@ def enumerate_pgraphs(
     """Every graph with up to ``max_nodes`` nodes labelled from ``pool``:
     all label multisets crossed with all strict orders, in a fixed order.
     All sizes' orders are listed first, so an oversized bound raises at once.
-    Each graph takes its order's closed matrix as it is, and proves it."""
+    Each graph takes its order's closed matrix as it is."""
     by_size = [_closed_orders(k) for k in range(max_nodes + 1)]
     for k, orders in enumerate(by_size):
         for combo in itertools.combinations_with_replacement(pool, k):
             for edges, matrix in orders:
                 labels = {f"n{i}": f for i, f in enumerate(combo)}
-                yield PGraph._closed(labels, edges, matrix)
+                yield PGraph._built(labels, edges, matrix)

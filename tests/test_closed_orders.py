@@ -1,11 +1,11 @@
 """Graphs built from orders already closed.
 
-``PGraph._closed`` takes a closed order handed in as it is and proves it
-strict and transitive; ``enumerate_pgraphs`` builds through it. ``prefix``
-and ``graph_from_preorder`` write orders that are closed by construction.
-None of them runs a closure. These tests compare these paths with
-construction from edges and with Warshall's closure, check that a matrix
-failing the proof is refused, and pin the work the paths removed.
+``enumerate_pgraphs`` shares the matrices of ``_closed_orders``, ``prefix``
+writes the prefixed order and ``graph_from_preorder`` an antichain, each
+closed by construction; none of them runs a closure or proves its matrix
+again. These tests pin those orders at their source, compare each path
+with construction from edges and with Warshall's closure, and pin the
+work the paths removed.
 """
 
 import numpy as np
@@ -17,9 +17,17 @@ import beliefrev.formula
 from beliefrev import PGraph, graph_from_preorder, prefix, sweep_harmony
 from beliefrev.files import parse_graph_file
 from beliefrev.formula import _MEMO_SIZE
-from beliefrev.pgraph import _down_label, enumerate_pgraphs, induce_model
+from beliefrev.pgraph import (
+    _closed_orders,
+    _down_label,
+    enumerate_pgraphs,
+    induce_model,
+    strict_orders,
+)
+from beliefrev.semantics import PreferenceModel
 from helpers import (
     SIG_PQ,
+    canonical_pq,
     chain_fixture,
     f,
     oracle_closure,
@@ -30,15 +38,24 @@ from helpers import (
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_the_closed_path_builds_the_graph_that_edges_build(rng):
-    g = random_pgraph(rng, SIG_PQ, max_nodes=7)
-    closed = PGraph._closed(g.labels, g.edges, g.matrix.copy())
-    assert np.array_equal(closed.matrix, g.matrix) and not closed.matrix.flags.writeable
-    assert closed.predecessors == g.predecessors
-    assert closed.prec() == g.prec() == oracle_prec(g)
-    assert closed == g and repr(closed) == repr(g)
+def test_the_enumerated_orders_are_the_strict_orders_closed_as_written():
+    for k, count in enumerate([1, 1, 3, 19, 219]):
+        orders = _closed_orders(k)
+        expected = [frozenset((f"n{a}", f"n{b}") for a, b in order) for order in strict_orders(k)]
+        assert [edges for edges, _ in orders] == expected and len(orders) == count
+        for edges, matrix in orders:
+            assert not matrix.flags.writeable and not matrix.diagonal().any()
+            pairs = [(int(a[1:]), int(b[1:])) for a, b in edges]
+            assert np.array_equal(matrix, oracle_closure(k, pairs))
+
+
+def test_every_enumerated_graph_is_the_graph_its_edges_build():
+    for g in enumerate_pgraphs(pool(), 3):
+        built = PGraph(g.labels, g.edges)
+        assert np.array_equal(g.matrix, built.matrix)
+        assert g.predecessors == built.predecessors
+        assert g.prec() == built.prec() == oracle_prec(built)
+        assert repr(g) == repr(built)
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,23 +69,6 @@ def test_a_prefixed_order_is_the_closure_of_the_prefixed_edges(rng):
     expected = oracle_closure(len(out), [(index[a], index[b]) for a, b in out.edges])
     assert np.array_equal(out.matrix, expected)
     assert out == PGraph(out.labels, out.edges)
-
-
-def test_a_closed_matrix_that_is_not_a_strict_order_is_refused():
-    labels = {"a": f("p"), "b": f("q"), "c": f("p | q")}
-    loop = np.zeros((3, 3), dtype=bool)
-    loop[1, 1] = True
-    with pytest.raises(ValueError, match="order puts node 'b' above itself"):
-        PGraph._closed(labels, frozenset(), loop)
-    cycle = np.zeros((3, 3), dtype=bool)
-    cycle[0, 1] = cycle[1, 0] = True
-    # Without its diagonal a cycle is not transitive.
-    with pytest.raises(ValueError, match="not transitive: it lacks 'a' above 'a'"):
-        PGraph._closed(labels, frozenset(), cycle)
-    open_chain = np.zeros((3, 3), dtype=bool)
-    open_chain[0, 1] = open_chain[1, 2] = True
-    with pytest.raises(ValueError, match="not transitive: it lacks 'a' above 'c'"):
-        PGraph._closed(labels, frozenset({("a", "b"), ("b", "c")}), open_chain)
 
 
 def test_prefix_enumeration_and_the_harmony_sweep_close_no_order(monkeypatch):
@@ -85,7 +85,7 @@ def test_prefix_enumeration_and_the_harmony_sweep_close_no_order(monkeypatch):
         PGraph({"a": f("p")})
 
 
-def test_only_an_order_handed_in_pays_the_transitivity_product(monkeypatch):
+def test_no_graph_construction_runs_the_transitivity_product(monkeypatch):
     # The product is cubic in the node count; a graph file has no node limit.
     def no_product(*args):
         raise AssertionError("an order was multiplied")
@@ -94,7 +94,7 @@ def test_only_an_order_handed_in_pays_the_transitivity_product(monkeypatch):
     chain = "\n".join(
         ["atoms: p", *(f"node n{i}: p" for i in range(n)), *(f"n{i} < n{i + 1}" for i in range(n - 1))]
     )
-    monkeypatch.setattr("beliefrev.pgraph._compose", no_product)
+    monkeypatch.setattr("beliefrev.semantics._compose", no_product)
     _, g = parse_graph_file(chain)
     assert np.array_equal(g.matrix, np.triu(np.ones((n, n), dtype=bool), 1))
     out = prefix(g, f("q"))
@@ -102,9 +102,12 @@ def test_only_an_order_handed_in_pays_the_transitivity_product(monkeypatch):
     _, antichain = parse_graph_file("\n".join(["atoms: p", *(f"node n{i}: p" for i in range(n))]))
     assert not prefix(antichain, f("q")).matrix[1:].any()
     model = chain_fixture()
+    # The chain model is a total preorder, so building it pays no product.
     assert induce_model(graph_from_preorder(model), model.worlds) == model
+    assert len(list(enumerate_pgraphs(pool(), 4))) == 16046
+    # The patch is live: a preorder that is not total is proved by the product.
     with pytest.raises(AssertionError, match="an order was multiplied"):
-        PGraph._closed(g.labels, g.edges, g.matrix.copy())
+        PreferenceModel(canonical_pq()[:2], np.eye(2, dtype=bool))
 
 
 def test_graph_from_preorder_reuses_its_labels_and_compiles_nothing_again(monkeypatch):
