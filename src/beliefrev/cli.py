@@ -33,6 +33,18 @@ from .transforms import null_transform, prefix
 
 DEFAULT_POOL = ("p", "q", "~p", "p & q", "p | q")
 
+# ``revise``'s operators by file kind, and why one has no form on the other:
+# lexicographic revision's graph form is prefixing, natural revision has none
+# (``demo fact-cb``). Values are bare functions, which a tracer can rebind.
+ON_MODELS = {"lex": lex_revise, "natural": natural_revise, "null": null_change}
+ON_GRAPHS = {"prefix": prefix, "null": null_transform}
+NO_FORM = {
+    "lex": "lexicographic revision acts on models; its graph form is prefixing, use --op prefix",
+    "natural": "natural revision cannot be expressed as a graph "
+    "transformation; apply it to a model file instead",
+    "prefix": "prefixing acts on graphs; this is a model file",
+}
+
 
 def _read(path: str) -> str:
     try:
@@ -99,28 +111,15 @@ def _cmd_induce(args) -> int:
 def _cmd_revise(args) -> int:
     text = _read(args.input)
     kind = _sniff(text)
+    table = ON_GRAPHS if kind == "graph" else ON_MODELS
+    if args.op not in table:
+        raise BeliefRevError(NO_FORM[args.op])
     if kind == "graph":
-        if args.op == "natural":
-            raise BeliefRevError(
-                "natural revision cannot be expressed as a graph "
-                "transformation; apply it to a model file instead"
-            )
-        if args.op == "lex":
-            raise BeliefRevError(
-                "lexicographic revision acts on models; its graph form is "
-                "prefixing, use --op prefix"
-            )
         sig, graph = parse_graph_file(text)
-        by = parse(args.by, sig)
-        transform = prefix if args.op == "prefix" else null_transform
-        _emit_graph(sig, transform(graph, by), args)
-        return 0
-    if args.op == "prefix":
-        raise BeliefRevError("prefixing acts on graphs; this is a model file")
-    sig, model = parse_model_file(text)
-    by = parse(args.by, sig)
-    operator = {"lex": lex_revise, "natural": natural_revise, "null": null_change}[args.op]
-    _emit_model(operator(model, by).model, args)
+        _emit_graph(sig, table[args.op](graph, parse(args.by, sig)), args)
+    else:
+        sig, model = parse_model_file(text)
+        _emit_model(table[args.op](model, parse(args.by, sig)).model, args)
     return 0
 
 
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     revise = sub.add_parser("revise", help="revise a model or transform a graph")
     revise.add_argument("input", help="model or graph file")
-    revise.add_argument("--op", required=True, choices=("lex", "natural", "null", "prefix"))
+    revise.add_argument("--op", required=True, choices=list({**ON_MODELS, **ON_GRAPHS}))
     revise.add_argument("--by", required=True, help="revision formula")
     _output_flags(revise)
     revise.set_defaults(fn=_cmd_revise)
@@ -215,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--postulates",
         default="all",
-        help="comma separated subset of dp1,dp2,dp3,dp4,rec,ind,faith,cb (default: all)",
+        help=f"comma separated subset of {','.join(SEMANTIC_CHECKS)} (default: all)",
     )
     check.add_argument("--json", action="store_true")
     check.set_defaults(fn=_cmd_check)

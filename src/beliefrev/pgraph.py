@@ -33,13 +33,10 @@ only that ``w`` and ``w'`` differ on some strictly more important node:
   that ``w`` satisfies, strictly above the first.
 
 One kernel, :func:`induced_orders`, computes the induced orders of a stack
-of graphs over one world tuple, built by :func:`_stack`, which pads a graph
-to the largest with ``T``-like nodes, true at every world and unordered.
-:func:`induced_order` runs it on a stack of one, and the harmony sweep on
-every graph it checks at once. ``_stack`` evaluates each label object
-once, makes ``sat`` in one array call and fills ``above`` one graph at a
-time, so a stack of one is cheap: a few microseconds above the kernel's
-input built by hand, one row per label and the graph's matrix.
+of graphs over one world tuple. :func:`induced_order` hands it one graph's
+label rows and matrix as they are; the harmony sweep hands it every graph
+it checks at once, stacked by :func:`_stack`, which pads a graph to the
+largest with ``T``-like nodes, true at every world and unordered.
 """
 
 from __future__ import annotations
@@ -61,6 +58,7 @@ from .semantics import (
     PreferenceModel,
     World,
     _preorder_edges,
+    _sat_table,
     _sat_vector,
     _tie_key,
     transitive_closure,
@@ -211,23 +209,24 @@ class PGraph:
 def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
     """The preference relation induced by ``graph`` over ``worlds``, as a
     boolean matrix aligned with the given world order: the stack kernel
-    :func:`induced_orders` on the :func:`_stack` of one graph.
+    :func:`induced_orders` on one row per label, in node order, and the
+    graph's matrix.
 
     ``w <= w'`` holds iff for every node formula f: (w' |= f implies
     w |= f), or some strictly more important node formula g has w |= g and
     w' |/= g; equivalently, w and w' differ on some node above f (module
     docstring).
     """
-    return induced_orders(*_stack([graph], worlds))[0]
+    sat = _sat_table(worlds, graph._labels.values())
+    return induced_orders(sat[None], graph.matrix[None])[0]
 
 
 def _stack(graphs: Sequence[PGraph], worlds: Sequence[World]) -> tuple[np.ndarray, np.ndarray]:
-    """The padded ``(sat, above)`` input of :func:`induced_orders`, built
-    with no loop over nodes but the ones that read their labels. Each
-    distinct label object is evaluated once, in (graph, node) order, so the
-    first graph's leftmost unknown atom raises first; ``sat`` is one array
-    of those rows, a padding node taking an all-true row, and each graph's
-    order fills its block of ``above``."""
+    """The padded ``(sat, above)`` input of :func:`induced_orders` for a
+    stack of graphs. Each distinct label object is evaluated once, in
+    (graph, node) order, so the first graph's leftmost unknown atom raises
+    first; ``sat`` is one array of those rows, a padding node taking an
+    all-true row, and each graph's order fills its block of ``above``."""
     nodes = [g._labels.values() for g in graphs]
     k = max(map(len, nodes), default=0)
     labels = {id(f): f for fs in nodes for f in fs}

@@ -10,7 +10,18 @@ import pytest
 import beliefrev
 import beliefrev.semantics
 from beliefrev.cli import main
-from beliefrev.files import MODEL_WORLD_LIMIT
+from beliefrev.files import (
+    MODEL_WORLD_LIMIT,
+    dump_graph,
+    dump_model,
+    graph_to_dot,
+    model_to_dot,
+    parse_graph_file,
+    parse_model_file,
+)
+from beliefrev.formula import parse, to_text
+from beliefrev.semantics import lex_revise, natural_revise, null_change
+from beliefrev.transforms import null_transform, prefix
 
 CHAIN_GRAPH = """\
 atoms: p q
@@ -31,6 +42,7 @@ w_q <= w_0
 """
 
 
+DATA = Path(__file__).parent / "data"
 FOUR_NODES = "atoms: p q\nnode a: p\nnode b: q\nnode c: p\nnode d: q\n"
 
 
@@ -371,6 +383,84 @@ def test_revise_operator_input_mismatches(capsys, graph_file, model_file):
     assert code == 2
 
 
+# Every operator on both file kinds in every output format. An operator
+# with a form on the file's kind prints what the library call prints; one
+# without is refused with its reason, before the file or the formula is read.
+REVISE_FILES = {"graph": ("chain2.pg", "~p"), "model": ("ties5.model", "r | ~q")}
+REFUSALS = {
+    ("graph", "lex"): "lexicographic revision acts on models; its graph form is prefixing, "
+    "use --op prefix",
+    ("graph", "natural"): "natural revision cannot be expressed as a graph transformation; "
+    "apply it to a model file instead",
+    ("model", "prefix"): "prefixing acts on graphs; this is a model file",
+}
+LIBRARY_FORMS = {
+    "graph": {"prefix": prefix, "null": null_transform},
+    "model": {"lex": lex_revise, "natural": natural_revise, "null": null_change},
+}
+
+
+def library_output(kind, op, flag):
+    name, by = REVISE_FILES[kind]
+    text = (DATA / name).read_text(encoding="utf-8")
+    if kind == "graph":
+        sig, g = parse_graph_file(text)
+        g = LIBRARY_FORMS[kind][op](g, parse(by, sig))
+        if flag == "--json":
+            nodes = [{"id": n, "formula": to_text(g.label(n))} for n in g.node_ids]
+            payload = {"atoms": list(sig), "nodes": nodes, "edges": sorted(g.edges)}
+            return json.dumps(payload, indent=2) + "\n"
+        return graph_to_dot(g) if flag == "--dot" else dump_graph(sig, g)
+    sig, model = parse_model_file(text)
+    model = LIBRARY_FORMS[kind][op](model, parse(by, sig)).model
+    if flag == "--json":
+        worlds = [{"id": w.id, "valuation": w.valuation.as_dict()} for w in model.worlds]
+        payload = {"atoms": list(sig), "worlds": worlds, "leq": sorted(model.pairs()),
+                   "order": model.describe_order()}
+        return json.dumps(payload, indent=2) + "\n"
+    return model_to_dot(model) if flag == "--dot" else dump_model(model)
+
+
+@pytest.mark.parametrize("flag", [None, "--json", "--dot"])
+@pytest.mark.parametrize("kind", list(REVISE_FILES))
+@pytest.mark.parametrize("op", ["lex", "natural", "null", "prefix"])
+def test_revise_applies_each_operators_form_or_refuses_with_its_reason(capsys, op, kind, flag):
+    name, by = REVISE_FILES[kind]
+    argv = ["revise", str(DATA / name), "--op", op, "--by", by] + ([flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    if (kind, op) in REFUSALS:
+        assert (code, out, err) == (2, "", f"error: {REFUSALS[kind, op]}\n")
+    else:
+        assert (code, err) == (0, "")
+        assert out == library_output(kind, op, flag)
+
+
+@pytest.mark.parametrize(
+    "text, op",
+    [
+        ("atoms: p\nnode a: p\na < a\n", "natural"),
+        ("atoms: p\nnode a: p\na < a\n", "lex"),
+        ("atoms: p\nworld u: p\nu <= v\n", "prefix"),
+    ],
+    ids=["self-loop-natural", "self-loop-lex", "unknown-world-prefix"],
+)
+def test_revise_refuses_an_operator_before_reading_the_file_or_the_formula(
+    capsys, tmp_path, text, op
+):
+    kind = "graph" if "node" in text else "model"
+    path = tmp_path / f"broken.{kind}"
+    path.write_text(text)
+    for by in ("p", "(("):
+        code, out, err = run(capsys, "revise", str(path), "--op", op, "--by", by)
+        assert (code, out, err) == (2, "", f"error: {REFUSALS[kind, op]}\n")
+
+
+def test_revise_offers_each_operator_once_in_table_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["revise", "--help"])
+    assert "--op {lex,natural,null,prefix}" in capsys.readouterr().out
+
+
 # --- check --------------------------------------------------------------------
 
 
@@ -496,12 +586,14 @@ def test_check_prints_what_the_per_postulate_path_prints(
             assert aligned_once[0] == 1 and aligned_once[1]
 
 
-# Report outputs pinned byte for byte: the ties5 pair fails every postulate,
-# several with more than five witnesses, and faithfulness with single ids.
-DATA = Path(__file__).parent / "data"
+# Report outputs pinned byte for byte: a null change prints its input file
+# back, the ties5 pair fails every postulate, several with more than five
+# witnesses, and faithfulness with single ids.
 TIES5_PAIR = ["--before", str(DATA / "ties5.model"), "--after", str(DATA / "ties5_natural.model")]
 REPORT_GOLDENS = {
     "ties5_natural.model": (0, ["revise", str(DATA / "ties5.model"), "--op", "natural", "--by", "r | ~q"]),
+    "ties5.model": (0, ["revise", str(DATA / "ties5.model"), "--op", "null", "--by", "p"]),
+    "chain2.pg": (0, ["revise", str(DATA / "chain2.pg"), "--op", "null", "--by", "p"]),
     "check_ties5.txt": (1, ["check", *TIES5_PAIR, "--by", "p & s"]),
     "check_ties5.json": (1, ["check", *TIES5_PAIR, "--by", "p & s", "--json"]),
     "demo_fact_cb.json": (0, ["demo", "fact-cb", "--json"]),

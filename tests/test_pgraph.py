@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,52 @@ def test_a_stack_evaluates_each_label_object_once_in_graph_then_node_order(monke
     assert sat[[0, 2], 1].all() and sat[1, 1].tolist() == sat[0, 0].tolist()
     assert above[1].tolist() == [[False, True], [False, False]] and not above[[0, 2]].any()
     assert_each_entry_is_the_oracles(graphs, worlds)
+
+
+WIDE = Signature(("p", "q", "yy", "zz"))
+
+
+@st.composite
+def lone_graphs(draw):
+    """A graph of 0-5 nodes whose labels repeat label objects, some naming
+    atoms that the worlds over {p, q} lack, and a world tuple, maybe empty."""
+    shared = [f(t, WIDE) for t in ("p", "~q", "p | q", "yy & p", "q | zz")]
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(0, 5)
+    labels = {f"n{i}": rng.choice(shared) for i in range(n)}
+    rank = rng.sample(list(labels), n)
+    edges = {e for e in itertools.combinations(rank, 2) if rng.random() < 0.4}
+    return PGraph(labels, edges), draw(st.just(()) | world_tuples(SIG_PQ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lone_graphs())
+def test_one_graphs_order_is_its_entry_in_a_stack_of_one(case):
+    g, worlds = case
+    try:
+        want = induced_orders(*_stack([g], worlds))[0]
+    except UnknownAtomError as exc:
+        with pytest.raises(UnknownAtomError, match=f"^{re.escape(str(exc))}$"):
+            induced_order(g, worlds)
+    else:
+        got = induced_order(g, worlds)
+        assert got.shape == (len(worlds), len(worlds)) and np.array_equal(got, want)
+
+
+def test_one_graph_is_induced_without_the_stack_builder(monkeypatch):
+    def refuse(graphs, worlds):
+        raise AssertionError("one graph went through _stack")
+
+    monkeypatch.setattr("beliefrev.pgraph._stack", refuse)
+    rng = random.Random(36)
+    worlds = worlds_for_signature(SIG_PQR)
+    for g in [PGraph({})] + [random_pgraph(rng, SIG_PQR) for _ in range(20)]:
+        assert model_pairs(induce_model(g, worlds)) == oracle_induced_pairs(g, worlds)
+    unknown = graph({"a": "p", "b": "yy"}, [("a", "b")], sig=WIDE)
+    assert induced_order(unknown, ()).shape == (0, 0)
+    with pytest.raises(UnknownAtomError, match=r"^unknown atom 'yy'$"):
+        induced_order(unknown, worlds_for_signature(SIG_PQ))
+    assert graphs_equivalent(four_chain_graph(), four_chain_graph(), SIG_PQ)
 
 
 def test_induced_order_is_valuation_determined():
