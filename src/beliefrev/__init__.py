@@ -16,10 +16,9 @@ change without notice.
 from .errors import BeliefRevError
 from .formula import Formula, Signature, Valuation, entails, equivalent, eval_formula, parse
 from .harness import DemoReport, demo_fact_cb, demo_fact_min, sweep_harmony
-from .pgraph import PGraph, canonical_model, graph_from_preorder, graphs_equivalent
+from .pgraph import PGraph, canonical_model, graph_from_preorder, graphs_equivalent, prefix
 from .postulates import SEMANTIC_CHECKS, PostulateReport, check_cb, check_rec
 from .semantics import PreferenceModel, RevisionOutcome, World, lex_revise, natural_revise
-from .transforms import prefix
 
 __version__ = "0.1.0"
 

@@ -19,6 +19,7 @@ from .errors import BeliefRevError
 from .files import (
     dump_graph,
     dump_model,
+    file_kind,
     graph_to_dot,
     model_to_dot,
     parse_graph_file,
@@ -48,19 +49,9 @@ NO_FORM = {
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise BeliefRevError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-
-
-def _sniff(text: str) -> str:
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("node "):
-            return "graph"
-        if stripped.startswith("world "):
-            return "model"
-    raise BeliefRevError("file declares neither nodes nor worlds")
 
 
 def _model_json(model: PreferenceModel) -> dict:
@@ -110,11 +101,10 @@ def _cmd_induce(args) -> int:
 
 def _cmd_revise(args) -> int:
     text = _read(args.input)
-    kind = _sniff(text)
-    table = ON_GRAPHS if kind == "graph" else ON_MODELS
+    table = ON_GRAPHS if file_kind(text) == "graph" else ON_MODELS
     if args.op not in table:
         raise BeliefRevError(NO_FORM[args.op])
-    if kind == "graph":
+    if table is ON_GRAPHS:
         sig, graph = parse_graph_file(text)
         _emit_graph(sig, table[args.op](graph, parse(args.by, sig)), args)
     else:

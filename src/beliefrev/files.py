@@ -1,7 +1,10 @@
 """Text formats for priority graphs and preference models.
 
 Both formats start with an ``atoms:`` header. Blank lines and lines
-starting with ``#`` are ignored.
+starting with ``#`` are ignored. :func:`file_kind` tells the formats apart
+by these line rules: a file whose first node or world line is a world line
+is a model file, and any other is a graph file, so a header-only file is
+the empty graph. The command line drops a leading UTF-8 byte-order mark.
 
 Graph files::
 
@@ -72,6 +75,16 @@ def _parse_header(lines: list[tuple[int, str]]) -> Signature:
         return Signature(names)
     except BeliefRevError as exc:
         raise FileFormatError(str(exc), number) from exc
+
+
+def file_kind(text: str) -> str:
+    """``"model"`` or ``"graph"``, decided at the first node or world line."""
+    for line in map(str.strip, text.splitlines()):
+        if _NODE_RE.fullmatch(line):
+            return "graph"
+        if (world := _MODEL_LINE_RE.fullmatch(line)) and world[1]:
+            return "model"
+    return "graph"
 
 
 def parse_graph_file(text: str) -> tuple[Signature, PGraph]:

@@ -12,13 +12,13 @@ hand needs a separate validity check.
 Graphs come from two constructors. :meth:`PGraph.__init__` takes edges,
 closes them with :func:`transitive_closure`, transitive by construction,
 and refuses a cycle, the only way its diagonal can hold.
-:meth:`PGraph._built` keeps a matrix as it stands, for orders this module
-wrote closed: :meth:`PGraph._prefixed` (behind ``transforms.prefix``) puts
-a new node above a graph's order, :func:`graph_from_preorder` builds an
-antichain, and :func:`enumerate_pgraphs` shares the matrices of
-:func:`_closed_orders`, each a closed strict order as written. So no
-function here takes a matrix from a caller, and no construction pays a
-relation product.
+:meth:`PGraph._built` only assigns its fields, for orders this module
+wrote closed and made read-only where it built them: :func:`prefix`, which
+``transforms`` re-exports, puts a new node above a graph's order,
+:func:`graph_from_preorder` builds an antichain, and
+:func:`enumerate_pgraphs` shares the matrices of :func:`_closed_orders`,
+each a closed strict order as written. So no function here takes a matrix
+from a caller, and no construction pays a relation product.
 
 The induced order lifts node importance to worlds: ``w`` is at least as
 preferred as ``w'`` when every node formula satisfied by ``w'`` is either
@@ -109,24 +109,11 @@ class PGraph:
     def _built(
         cls, labels: dict[str, Formula], edges: frozenset[tuple[str, str]], matrix: np.ndarray
     ) -> PGraph:
-        """The graph whose order is ``matrix``, kept read-only as it is: only
-        for orders this module wrote strict and closed (module docstring)."""
+        """The graph whose order is ``matrix``, kept as it is: only for orders
+        this module wrote strict, closed and read-only (module docstring)."""
         graph = cls.__new__(cls)
         graph._labels, graph._edges, graph._matrix = labels, edges, matrix
-        matrix.setflags(write=False)
         return graph
-
-    def _prefixed(self, formula: Formula) -> PGraph:
-        """This graph with a fresh first node labelled ``formula`` above every
-        node. Its order is written closed from this one's: the new node's row
-        is full and its column empty, so it is above every node and below
-        none, and the old order, strict and transitive, follows."""
-        new_id, n = self.fresh_node_id(), len(self)
-        order = np.zeros((n + 1, n + 1), dtype=bool)
-        order[0, 1:] = True
-        order[1:, 1:] = self._matrix
-        edges = self._edges | {(new_id, node) for node in self._labels}
-        return PGraph._built({new_id: formula, **self._labels}, edges, order)
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -204,6 +191,20 @@ class PGraph:
         while f"r{k}" in self._labels:
             k += 1
         return f"r{k}"
+
+
+def prefix(graph: PGraph, formula: Formula) -> PGraph:
+    """``graph`` with a fresh first node labelled ``formula`` strictly more
+    important than every node. The order is written closed, with no closure
+    run: the new row is full and its column empty, so the new node is above
+    every node and below none, and the old order, strict and closed, follows."""
+    new_id, n = graph.fresh_node_id(), len(graph)
+    order = np.zeros((n + 1, n + 1), dtype=bool)
+    order[0, 1:] = True
+    order[1:, 1:] = graph._matrix
+    order.setflags(write=False)
+    edges = graph._edges | {(new_id, node) for node in graph._labels}
+    return PGraph._built({new_id: formula, **graph._labels}, edges, order)
 
 
 def induced_order(graph: PGraph, worlds: Sequence[World]) -> np.ndarray:
@@ -333,7 +334,9 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
         w.id: _down_label(frozenset(worlds[i].valuation for i in np.flatnonzero(mat[:, j])))
         for j, w in enumerate(worlds)
     }
-    return PGraph._built(labels, frozenset(), np.zeros((len(worlds), len(worlds)), dtype=bool))
+    antichain = np.zeros((len(worlds), len(worlds)), dtype=bool)
+    antichain.setflags(write=False)
+    return PGraph._built(labels, frozenset(), antichain)
 
 
 def strict_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:

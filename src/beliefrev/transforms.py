@@ -1,7 +1,8 @@
 """Transformations on priority graphs and the operators they induce.
 
-A graph transformation maps (graph, formula) to a graph. A transformation
-is relevant when it treats equivalent graphs consistently, so that it
+A graph transformation maps (graph, formula) to a graph; :func:`prefix`,
+written in ``pgraph`` and re-exported here, is one. A transformation is
+relevant when it treats equivalent graphs consistently, so that it
 induces a well-defined operator on the models those graphs induce.
 Relevance quantifies over all graphs and is not decidable by enumeration;
 :func:`relevance_check` therefore runs a bounded refutation search that is
@@ -22,6 +23,7 @@ from .pgraph import (
     graph_from_preorder,
     graphs_equivalent,
     induce_model,
+    prefix,
 )
 from .semantics import PreferenceModel, RevisionOutcome
 
@@ -36,13 +38,6 @@ class GraphTransformation:
 
     def __call__(self, graph: PGraph, formula: Formula) -> PGraph:
         return self.fn(graph, formula)
-
-
-def prefix(graph: PGraph, formula: Formula) -> PGraph:
-    """Add a fresh node labelled ``formula`` strictly more important than
-    every existing node; everything else is preserved. The prefixed order
-    is written closed from the graph's, with no closure run."""
-    return graph._prefixed(formula)
 
 
 def null_transform(graph: PGraph, formula: Formula) -> PGraph:

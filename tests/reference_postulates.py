@@ -2,12 +2,15 @@
 
 These are the world-pair loops and nested label quantifiers that
 ``beliefrev.postulates`` replaced with a mask table and a shared
-counterpart search. They are kept unchanged as the reference oracle of
+counterpart search. They are kept as the reference oracle of
 ``test_postulates_differential.py``, which requires identical reports,
-witness order included.
+witness order included. A condition builds each conjunction it tests once
+per (left, right) object pair (:func:`_conjoiner`), which changes no verdict.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from beliefrev import (
     Formula,
@@ -184,6 +187,21 @@ def _nodes(graph: PGraph) -> list[tuple[str, Formula]]:
     return [(n, graph.label(n)) for n in graph.node_ids]
 
 
+def _conjoiner() -> Callable[[Formula, Formula], Formula]:
+    """``And(left, right)``, built once per (left, right) object pair. The
+    compile memo is keyed by formula object, so a conjunction built afresh
+    for every comparison would be compiled afresh every time."""
+    built: dict[tuple[int, int], Formula] = {}
+
+    def conj(left: Formula, right: Formula) -> Formula:
+        key = (id(left), id(right))
+        if key not in built:
+            built[key] = And(left, right)
+        return built[key]
+
+    return conj
+
+
 def cond_dp1(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> ConditionReport:
     """Sufficient condition for DP-1.
 
@@ -196,7 +214,8 @@ def cond_dp1(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     """
     prec_before = before.prec()
     prec_after = after.prec()
-    eq = lambda f, g: equivalent(And(by, f), And(by, g), sig)
+    conj = _conjoiner()
+    eq = lambda f, g: equivalent(conj(by, f), conj(by, g), sig)
     bad: list[tuple[str, str, str]] = []
 
     for n_xi, xi in _nodes(before):
@@ -259,7 +278,8 @@ def cond_dp2(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     neg = Not(by)
     prec_before = before.prec()
     prec_after = after.prec()
-    eq = lambda f, g: equivalent(And(neg, f), And(neg, g), sig)
+    conj = _conjoiner()
+    eq = lambda f, g: equivalent(conj(neg, f), conj(neg, g), sig)
     bad: list[tuple[str, str, str]] = []
 
     for n_xi, xi in _nodes(before):
@@ -322,14 +342,15 @@ def cond_dp3(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     neg = Not(by)
     prec_before = before.prec()
     prec_after = after.prec()
+    conj = _conjoiner()
     bad: list[tuple[str, str, str]] = []
 
     for n_xi, xi in _nodes(before):
         def holds_for(n_xi=n_xi, xi=xi) -> bool:
             for n_xi2, xi2 in _nodes(after):
-                if not entails(And(by, xi), xi2, sig):
+                if not entails(conj(by, xi), xi2, sig):
                     continue
-                if not entails(And(neg, xi2), xi, sig):
+                if not entails(conj(neg, xi2), xi, sig):
                     continue
                 ok = True
                 for n_psi2, psi2 in _nodes(after):
@@ -338,8 +359,8 @@ def cond_dp3(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
                     if equivalent(psi2, by, sig):
                         continue
                     if not any(
-                        entails(And(by, psi), psi2, sig)
-                        and entails(And(neg, psi2), psi, sig)
+                        entails(conj(by, psi), psi2, sig)
+                        and entails(conj(neg, psi2), psi, sig)
                         and (n_psi, n_xi) in prec_before
                         for n_psi, psi in _nodes(before)
                     ):
@@ -363,6 +384,7 @@ def cond_dp4(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     neg = Not(by)
     prec_before = before.prec()
     prec_after = after.prec()
+    conj = _conjoiner()
     bad: list[tuple[str, str, str]] = []
 
     for n_xi, xi in _nodes(after):
@@ -371,17 +393,17 @@ def cond_dp4(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
 
         def holds_for(n_xi=n_xi, xi=xi) -> bool:
             for n_xi2, xi2 in _nodes(before):
-                if not entails(And(by, xi2), xi, sig):
+                if not entails(conj(by, xi2), xi, sig):
                     continue
-                if not entails(And(neg, xi), xi2, sig):
+                if not entails(conj(neg, xi), xi2, sig):
                     continue
                 ok = True
                 for n_psi2, psi2 in _nodes(before):
                     if (n_psi2, n_xi2) not in prec_before:
                         continue
                     if not any(
-                        entails(And(by, psi2), psi, sig)
-                        and entails(And(neg, psi), psi2, sig)
+                        entails(conj(by, psi2), psi, sig)
+                        and entails(conj(neg, psi), psi2, sig)
                         and (n_psi, n_xi) in prec_after
                         for n_psi, psi in _nodes(after)
                     ):
@@ -436,6 +458,7 @@ def cond_ind(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
     neg = Not(by)
     prec_before = before.prec()
     prec_after = after.prec()
+    conj = _conjoiner()
     bad: list[tuple[str, str, str]] = []
 
     for n_xi2, xi2 in _nodes(after):
@@ -444,17 +467,17 @@ def cond_ind(before: PGraph, by: Formula, after: PGraph, sig: Signature) -> Cond
 
         def holds_for(n_xi2=n_xi2, xi2=xi2) -> bool:
             for n_xi, xi in _nodes(before):
-                if not entails(And(by, xi), xi2, sig):
+                if not entails(conj(by, xi), xi2, sig):
                     continue
-                if not entails(And(neg, xi2), xi, sig):
+                if not entails(conj(neg, xi2), xi, sig):
                     continue
                 ok = True
                 for n_psi2, psi2 in _nodes(after):
                     if (n_psi2, n_xi2) not in prec_after:
                         continue
                     if not any(
-                        entails(And(by, psi), psi2, sig)
-                        and entails(And(neg, psi2), psi, sig)
+                        entails(conj(by, psi), psi2, sig)
+                        and entails(conj(neg, psi2), psi, sig)
                         and (n_psi, n_xi) in prec_before
                         for n_psi, psi in _nodes(before)
                     ):

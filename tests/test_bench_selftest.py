@@ -47,3 +47,29 @@ def test_tracing_sees_the_operators_that_revise_applies():
     assert metrics["semantics.revise.calls"] == 2
     assert metrics["transforms.prefix.calls"] == 1
     assert metrics["cli.main.calls"] == 3
+
+
+def traced(argv):
+    """The layer metrics of one traced in-process ``main(argv)`` call."""
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert beliefrev.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return tracer.layer_metrics()
+
+
+def test_telling_a_file_kind_parses_each_file_once():
+    # ``revise`` decides a file's kind before parsing it; that check must not
+    # parse the file, and the prefix it applies must stay traced.
+    graph, model = str(DATA / "chain2.pg"), str(DATA / "ties5.model")
+    for argv, prefixes in (
+        (["revise", graph, "--op", "prefix", "--by", "p"], 1),
+        (["revise", model, "--op", "lex", "--by", "p"], 0),
+        (["induce", graph], 0),
+    ):
+        metrics = traced(argv)
+        parses = metrics["files.parse_graph_file.calls"] + metrics["files.parse_model_file.calls"]
+        assert (parses, metrics["transforms.prefix.calls"]) == (1, prefixes), argv

@@ -461,6 +461,52 @@ def test_revise_offers_each_operator_once_in_table_order(capsys):
     assert "--op {lex,natural,null,prefix}" in capsys.readouterr().out
 
 
+# A file with no node or world line is the empty graph, and a node line may
+# put a tab after its keyword: ``revise`` reads both as graph files, as
+# ``induce`` and ``equiv`` do.
+@pytest.mark.parametrize(
+    "text",
+    ["atoms: p q\n", "atoms: p q\n\n# node x: p\n", "atoms: p q\nnode\ta: p\nnode\tb: q\na < b\n"],
+    ids=["header-only", "header-and-comments", "tab-after-node"],
+)
+def test_revise_reads_every_file_the_graph_parser_accepts_as_a_graph(capsys, tmp_path, text):
+    path = tmp_path / "g.pg"
+    path.write_text(text)
+    sig, g = parse_graph_file(text)
+    code, out, err = run(capsys, "revise", str(path), "--op", "prefix", "--by", "p & ~q")
+    assert (code, out, err) == (0, dump_graph(sig, prefix(g, parse("p & ~q", sig))), "")
+    for op in ("lex", "natural"):
+        code, out, err = run(capsys, "revise", str(path), "--op", op, "--by", "p")
+        assert (code, out, err) == (2, "", f"error: {REFUSALS['graph', op]}\n")
+
+
+# A leading UTF-8 byte-order mark is dropped: the file reads like the same
+# file without one. Arguments naming a file of ``tests/data`` are replaced by
+# a copy, with the mark or without it.
+MARKED = ("chain2.pg", "ties5.model", "ties5_natural.model")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["induce", "chain2.pg"],
+        ["revise", "chain2.pg", "--op", "prefix", "--by", "~p"],
+        ["revise", "ties5.model", "--op", "lex", "--by", "r | ~q"],
+        ["check", "--before", "ties5.model", "--after", "ties5_natural.model", "--by", "p"],
+        ["equiv", "chain2.pg", "chain2.pg"],
+    ],
+    ids=["induce", "revise-graph", "revise-model", "check", "equiv"],
+)
+def test_a_byte_order_mark_reads_like_the_same_file_without_one(capsys, tmp_path, argv):
+    results = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        for name in MARKED:
+            (tmp_path / name).write_bytes(mark + (DATA / name).read_bytes())
+        results.append(run(capsys, *(str(tmp_path / a) if a in MARKED else a for a in argv)))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1) and results[0][2] == ""
+
+
 # --- check --------------------------------------------------------------------
 
 

@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beliefrev
+import beliefrev.cli
 import beliefrev.formula
+import beliefrev.pgraph
+import beliefrev.transforms
 from beliefrev import PGraph, graph_from_preorder, prefix, sweep_harmony
 from beliefrev.files import parse_graph_file
 from beliefrev.formula import _MEMO_SIZE
@@ -137,3 +141,24 @@ def test_tied_worlds_share_one_label_object():
                 tied = model.leq(a, b) and model.leq(b, a)
                 assert (g.label(a) is g.label(b)) == tied
         assert induce_model(g, model.worlds) == model
+
+
+def test_every_graph_holds_a_read_only_matrix():
+    # ``PGraph._built`` only assigns its fields, so each path that writes a
+    # matrix makes it read-only where it writes it.
+    g = PGraph({"a": f("p"), "b": f("q")}, [("a", "b")])
+    built = [g, prefix(g, f("~p")), prefix(PGraph({}), f("p"))]
+    built += [graph_from_preorder(m) for m in (chain_fixture(), *preorder_models_on_trio())]
+    built += enumerate_pgraphs(pool(), 3)
+    for h in built:
+        assert not h.matrix.flags.writeable
+        if len(h):
+            with pytest.raises(ValueError, match="read-only"):
+                h.matrix[0, 0] = True
+
+
+def test_prefix_is_one_function_wherever_it_is_reached():
+    one = beliefrev.pgraph.prefix
+    assert beliefrev.transforms.prefix is one and beliefrev.prefix is one
+    assert beliefrev.transforms.PREFIX.fn is one and beliefrev.cli.ON_GRAPHS["prefix"] is one
+    assert not hasattr(beliefrev.pgraph.PGraph, "_prefixed")

@@ -1,19 +1,27 @@
+import contextlib
+import io
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beliefrev.files
-from beliefrev import PGraph, PreferenceModel, Signature
+from beliefrev import BeliefRevError, PGraph, PreferenceModel, Signature
+from beliefrev.cli import main
 from beliefrev.errors import FileFormatError, GraphCycleError, ResourceBoundError, UnknownAtomError
 from beliefrev.files import (
     dump_graph,
     dump_model,
+    file_kind,
     graph_to_dot,
     model_to_dot,
     parse_graph_file,
     parse_model_file,
 )
-from beliefrev.formula import Atom, Or
+from beliefrev.formula import Atom, Or, parse
+from beliefrev.semantics import null_change
+from beliefrev.transforms import null_transform
 from helpers import SIG_PQ, all_equal_fixture, chain_fixture, f, graph
 
 CHAIN_GRAPH = """\
@@ -260,3 +268,73 @@ def test_the_world_bound_admits_its_last_world_and_names_the_next_line(monkeypat
         parse_model_file(text + "a <= b\nworld d: ~p\n")
     assert str(err.value) == "line 7: more than 3 worlds"
     assert not isinstance(err.value, FileFormatError)
+
+
+# --- telling the formats apart -------------------------------------------------
+
+SEP = st.sampled_from([" ", "\t"])
+NODE_LABELS = {"a": "p", "b": "q & ~p", "c": "p | q"}
+WORLD_VALUATIONS = {"a": "p & q", "b": "~p & q", "c": "!p & ~q", "d": "~p&~q"}
+FILLER = st.sampled_from(["", "   ", "# a comment", "  # node x: p", "#world y: p & q"])
+
+
+@st.composite
+def fragment_texts(draw):
+    """A text assembled from line fragments: most often a graph file's or a
+    model file's lines, otherwise any mix of node, world, edge and order
+    lines, which may clash or dangle. The header may be missing; blank and
+    ``#`` lines go anywhere; each keyword is followed by a space or a tab."""
+    node = lambda n: f"node{draw(SEP)}{n}: {NODE_LABELS[n]}"
+    world = lambda n: f"world{draw(SEP)}{n}: {WORLD_VALUATIONS[n]}"
+    flavour = draw(st.sampled_from(["graph", "model", "mixed"]))
+    if flavour == "mixed":
+        names = st.sampled_from(sorted(WORLD_VALUATIONS))
+        pairs = st.tuples(names, names)
+        body = draw(st.lists(st.one_of(
+            st.sampled_from(sorted(NODE_LABELS)).map(node), names.map(world),
+            pairs.map(" < ".join), pairs.map(" <= ".join),
+        ), max_size=6))
+    else:
+        graph = flavour == "graph"
+        labels = NODE_LABELS if graph else WORLD_VALUATIONS
+        names = draw(st.lists(st.sampled_from(sorted(labels)), unique=True, min_size=not graph))
+        body = [(node if graph else world)(n) for n in names]
+        pairs = [(a, b) for a in names for b in names if a < b or not graph]
+        if pairs:
+            edges = draw(st.lists(st.sampled_from(pairs), max_size=3))
+            body += [(" < " if graph else " <= ").join(pair) for pair in edges]
+    if draw(st.integers(0, 5)):
+        body.insert(0, f"atoms:{draw(SEP)}p q")
+    for line in draw(st.lists(FILLER, max_size=3)):
+        body.insert(draw(st.integers(0, len(body))), line)
+    return "\n".join(body) + "\n"
+
+
+@pytest.fixture(scope="module")
+def kind_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("kinds")
+
+
+@settings(max_examples=200, deadline=None)
+@given(fragment_texts(), st.booleans())
+def test_file_kind_names_the_one_parser_that_accepts_a_text(kind_dir, text, mark):
+    accepted = {}
+    for kind, parser in (("graph", parse_graph_file), ("model", parse_model_file)):
+        with contextlib.suppress(BeliefRevError):
+            accepted[kind] = parser(text)
+    path = kind_dir / "input"
+    path.write_bytes(b"\xef\xbb\xbf" * mark + text.encode())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["revise", str(path), "--op", "null", "--by", "p"])
+    if len(accepted) != 1:
+        assert code == 2 and err.getvalue().startswith("error: ")
+        return
+    [(kind, (sig, parsed))] = accepted.items()
+    assert file_kind(text) == kind
+    by = parse("p", sig)
+    if kind == "graph":
+        expected = dump_graph(sig, null_transform(parsed, by))
+    else:
+        expected = dump_model(null_change(parsed, by).model)
+    assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
