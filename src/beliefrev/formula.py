@@ -113,14 +113,15 @@ def _rows(sig: Signature) -> Iterator[tuple[bool, ...]]:
 
 class Valuation(namedtuple("Valuation", "signature bits")):
     """Total truth assignment over a signature: bits are bools, one per
-    atom in signature order. Immutable, and equal and hashed by
+    atom in signature order, kept as a tuple. Immutable, equal and hashed by
     ``(signature, bits)``; being a tuple, it also equals that plain tuple,
     has length 2 and iterates over its two fields."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __new__(cls, signature: Signature, bits: tuple[bool, ...]) -> "Valuation":
+    def __new__(cls, signature: Signature, bits: Iterable[bool]) -> "Valuation":
+        bits = tuple(bits)
         if len(bits) != len(signature.atoms):
             raise ValueError("valuation must assign every atom of the signature")
         return tuple.__new__(cls, (signature, bits))

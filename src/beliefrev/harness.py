@@ -41,7 +41,7 @@ from .postulates import check_cb, check_faith
 from .semantics import (
     PreferenceModel,
     World,
-    _compose,
+    _implied,
     _lex,
     _minimal,
     _sat_table,
@@ -350,7 +350,7 @@ def _harmony_mismatches(
     base, via_graph = per_graph[:, :1], per_graph[:, 1:]
     via_model = _lex(by, base)
     rel = np.concatenate([orders, via_model.reshape(-1, w, w)])
-    unproved = ~rel.diagonal(axis1=1, axis2=2).all(1) | (_compose(rel, rel) & ~rel).any((1, 2))
+    unproved = ~rel.diagonal(axis1=1, axis2=2).all(1) | _implied(rel).any((1, 2))
     for i in np.flatnonzero(unproved):
         PreferenceModel(worlds, rel[i])
     differ = (via_graph != via_model).any((2, 3))

@@ -17,8 +17,8 @@ wrote closed and made read-only where it built them: :func:`prefix`, which
 ``transforms`` re-exports, puts a new node above a graph's order,
 :func:`graph_from_preorder` builds an antichain, and
 :func:`enumerate_pgraphs` shares the matrices of :func:`_closed_orders`,
-each a closed strict order as written. So no function here takes a matrix
-from a caller, and no construction pays a relation product.
+tested closed in one stacked call per size. So no function here takes a
+matrix from a caller, and no graph construction pays a relation product.
 
 The induced order lifts node importance to worlds: ``w`` is at least as
 preferred as ``w'`` when every node formula satisfied by ``w'`` is either
@@ -57,10 +57,10 @@ from .formula import _MEMO_SIZE, Formula, Or, Signature, Valuation
 from .semantics import (
     PreferenceModel,
     World,
-    _preorder_edges,
+    _closed_relations,
     _sat_table,
     _sat_vector,
-    _tie_key,
+    _strict,
     transitive_closure,
     worlds_for_signature,
 )
@@ -323,7 +323,7 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
     of a valuation's first world and a later world not tied to it. Ties are
     read off the tie key the model's constructor proved, in linear time.
     """
-    worlds, mat, tie = model.worlds, model.matrix, _tie_key(model)
+    worlds, mat, tie = model.worlds, model.matrix, model._key
     firsts: dict = {}
     first = np.array([firsts.setdefault(w.valuation, i) for i, w in enumerate(worlds)])
     untied = np.flatnonzero(tie != tie[first])
@@ -342,26 +342,24 @@ def graph_from_preorder(model: PreferenceModel) -> PGraph:
 def strict_orders(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     """All strict partial orders on ``n`` labelled elements, as edge sets of
     index pairs. 1 for n<=1, 3 for n=2, 19 for n=3; n past 4 is refused."""
-    for edges in _preorder_edges(n):
-        if not any((b, a) in edges for a, b in edges):
-            yield edges
+    for _, matrix in _closed_orders(n):
+        yield frozenset(map(tuple, np.argwhere(matrix).tolist()))
 
 
 @functools.lru_cache(maxsize=None)
 def _closed_orders(k: int) -> tuple[tuple[frozenset[tuple[str, str]], np.ndarray], ...]:
-    """Each order of :func:`strict_orders` on ``k`` nodes, as its edges
-    between ``n0``, ``n1``, ... and its matrix. Each matrix is a closed
-    strict order as written: its edge set is closed under composition and
-    holds no 2-cycle, and no cell of the diagonal is set. Built once per
-    size; the matrices are read-only, so graphs may share them."""
-    out = []
-    for order in strict_orders(k):
-        matrix = np.zeros((k, k), dtype=bool)
-        for a, b in order:
-            matrix[a, b] = True
-        matrix.setflags(write=False)
-        out.append((frozenset((f"n{a}", f"n{b}") for a, b in order), matrix))
-    return tuple(out)
+    """Each strict partial order on ``k`` nodes, as its edges between
+    ``n0``, ``n1``, ... and its matrix: the relations of
+    :func:`_closed_relations`, tested closed in one stacked call, that are
+    their own strict part. Built once per size, as one read-only stack
+    whose matrices graphs may share."""
+    rel = _closed_relations(k)
+    orders = rel[(_strict(rel) == rel).all(axis=(1, 2))]
+    orders.setflags(write=False)
+    return tuple(
+        (frozenset((f"n{a}", f"n{b}") for a, b in np.argwhere(matrix).tolist()), matrix)
+        for matrix in orders
+    )
 
 
 def enumerate_pgraphs(

@@ -29,9 +29,10 @@ and Q is transitive:
   ``Q[r(i), r(k)]``, which is ``M[i, k]``.
 
 Every other relation question is answered with boolean masks and the one
-exact relation product ``_compose``. It runs on the quotient, on the class
-order of a partial preorder, and over all worlds only to name the witness
-of a relation already shown not to be transitive.
+exact relation product ``_compose``, which also covers a partial class
+order. Its one transitivity test ``_implied`` runs on the quotient, over
+all worlds only to name the witness of a relation shown not transitive,
+and on the stacks of the harmony sweep and of the order enumeration.
 """
 
 from __future__ import annotations
@@ -96,6 +97,12 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # A square shares one float32 copy.
     a32 = a.astype(np.float32)
     return (a32 @ (a32 if b is a else b.astype(np.float32))) > 0
+
+
+def _implied(rel: np.ndarray) -> np.ndarray:
+    """The pairs a relation, or each of a stack, implies by one step of
+    transitivity but lacks: none exactly when it is transitive."""
+    return _compose(rel, rel) & ~rel
 
 
 def _equal_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,16 +223,13 @@ class PreferenceModel:
             raise ModelInvariantError(f"relation is not reflexive at {bad!r}")
         # A total preorder is the order of its up-set sizes. Any other
         # relation is decided on its quotient over r (module docstring).
-        up = mat.sum(1)
-        rep = reps = None
-        if not (mat == (up[:, None] >= up)).all():
-            rep, reps = _equal_rows(mat)
+        key, reps = mat.sum(1), None
+        if not (mat == (key[:, None] >= key)).all():
+            key, reps = _equal_rows(mat)
             quotient = mat.take(reps, 0)
-            constant = (quotient.take(rep, 1) == quotient).all()
-            quotient = quotient.take(reps, 1)
-            if not constant or (_compose(quotient, quotient) & ~quotient).any():
-                missing = _compose(mat, mat) & ~mat
-                a, b = (int(x) for x in np.argwhere(missing)[0])
+            constant = (quotient.take(key, 1) == quotient).all()
+            if not constant or _implied(quotient.take(reps, 1)).any():
+                a, b = (int(x) for x in np.argwhere(_implied(mat))[0])
                 raise ModelInvariantError(
                     f"relation is not transitive: {ids[a]!r} <= {ids[b]!r} is implied but absent"
                 )
@@ -234,9 +238,9 @@ class PreferenceModel:
         self._worlds = worlds
         self._matrix = mat
         self._index = {w.id: i for i, w in enumerate(worlds)}
-        # What the proof found, for the order queries: the up-set sizes,
-        # and for a relation that is not total, r and its image.
-        self._up, self._rep, self._reps = up, rep, reps
+        # The one tie key the proof found: up-set sizes for a total
+        # preorder, else r, whose image ``_reps`` is ``None`` when total.
+        self._key, self._reps = key, reps
 
     # --- constructors ---------------------------------------------------
 
@@ -345,12 +349,6 @@ def _aligned(model: PreferenceModel, other: PreferenceModel) -> np.ndarray:
     return other.matrix.take(rows, 0).take(rows, 1)
 
 
-def _tie_key(model: PreferenceModel) -> np.ndarray:
-    """One entry per world, equal exactly for tied worlds, as the
-    constructor proved: up-set sizes for a total preorder, else r."""
-    return model._up if model._rep is None else model._rep
-
-
 def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray | None]:
     """Tie classes in preference order, and the strict order between them.
 
@@ -359,28 +357,24 @@ def _class_order(model: PreferenceModel) -> tuple[list[list[str]], np.ndarray | 
     order. Entry ``[a, b]`` of the matrix says class ``a`` is strictly more
     preferred than class ``b``, read off the representatives. The matrix is
     ``None`` when the class order is total: each class is then strictly
-    more preferred than every later one. Both cases read what the
+    more preferred than every later one. Both read the one tie key the
     constructor proved: a total preorder's classes are its runs of equal
     up-set sizes, larger sizes first; another relation's are r's blocks.
     """
-    ids = model.ids
-    if model._rep is None:
-        up = model._up
-        order = np.argsort(-up, kind="stable")
+    ids, key, reps = model.ids, model._key, model._reps
+    if reps is None:
+        order = np.argsort(-key, kind="stable")
         members = [ids[i] for i in order.tolist()]
-        cuts = (np.flatnonzero(np.diff(up[order])) + 1).tolist()
+        cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
         return [members[a:b] for a, b in zip([0] + cuts, cuts + [len(ids)])], None
-    rep, reps = model._rep, model._reps
     # One stable sort lists the worlds class by class, in representative
     # order, each class in world order.
-    members = [ids[i] for i in np.argsort(rep, kind="stable").tolist()]
-    ends = np.cumsum(np.bincount(rep)[reps]).tolist()
+    members = [ids[i] for i in np.argsort(key, kind="stable").tolist()]
+    ends = np.cumsum(np.bincount(key)[reps]).tolist()
     groups = [members[a:b] for a, b in zip([0] + ends, ends)]
-    # Two representatives are never tied, so off the diagonal their
-    # relation is the strict one. The class order is not total, or the
-    # relation would be a total preorder.
-    below = model.matrix[reps[:, None], reps]
-    np.fill_diagonal(below, False)
+    # The class order is not total, or the relation would be a total
+    # preorder.
+    below = _strict(model.matrix[reps][:, reps])
     preds = below.sum(axis=0)
     c = len(reps)
     # A class's layer is the longest strict chain below it. Ordering by
@@ -473,24 +467,20 @@ def null_change(model: PreferenceModel, formula: Formula) -> RevisionOutcome:
     return RevisionOutcome(model, "null", formula)
 
 
-def _preorder_edges(n: int) -> Iterator[frozenset[tuple[int, int]]]:
-    """Every set of off-diagonal index pairs on ``n`` elements whose
-    reflexive closure is transitive, by brute force over the 2^(n(n-1))
-    subsets in a fixed order; past n = 4 (4,096 subsets) it raises first."""
+def _closed_relations(n: int) -> np.ndarray:
+    """Every off-diagonal relation on ``n`` elements whose reflexive closure
+    is transitive, as a fresh stack: all 2^(n(n-1)) in the order of
+    ``itertools.product((False, True))`` over the cells row by row, tested
+    in one stacked call. Past n = 4 (4,096) it raises before allocating."""
     if n > 4:
         raise ResourceBoundError(f"{n} elements exceed the order enumeration limit of 4")
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for picks in itertools.product((False, True), repeat=len(cells)):
-        chosen = frozenset(c for c, on in zip(cells, picks) if on)
-        if all(a == d or (a, d) in chosen for a, b in chosen for c, d in chosen if b == c):
-            yield chosen
+    m = n * (n - 1)
+    rel = np.zeros((2**m, n, n), dtype=bool)
+    rel[:, ~np.eye(n, dtype=bool)] = np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+    return rel[~_implied(rel | np.eye(n, dtype=bool)).any(axis=(1, 2))]
 
 
 def enumerate_preorders(n: int) -> Iterator[np.ndarray]:
     """All reflexive transitive relations on ``n`` elements, in a fixed
     order. There are 4 for n=2 and 29 for n=3; n past 4 is refused."""
-    for edges in _preorder_edges(n):
-        mat = np.eye(n, dtype=bool)
-        for i, j in edges:
-            mat[i, j] = True
-        yield mat
+    yield from _closed_relations(n) | np.eye(n, dtype=bool)

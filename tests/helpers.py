@@ -100,6 +100,21 @@ def oracle_closure(n: int, pairs) -> np.ndarray:
     return mat
 
 
+def oracle_implied(rel: np.ndarray) -> np.ndarray:
+    """For each relation of a ``(S, n, n)`` stack, the pairs (i, k) with
+    some j such that (i, j) and (j, k) hold but (i, k) does not, by a
+    triple loop over Python lists."""
+    out = np.zeros(rel.shape, dtype=bool)
+    for s, m in enumerate(rel.tolist()):
+        n = len(m)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if m[i][j] and m[j][k] and not m[i][k]:
+                        out[s, i, k] = True
+    return out
+
+
 def oracle_induced_pairs(g: PGraph, worlds) -> set[tuple[str, str]]:
     """Induced order by direct per-pair evaluation of the defining clause."""
     prec = oracle_prec(g)

@@ -9,14 +9,21 @@ the renderers below are the library's, re-pointed at these loops. So is
 the transitivity check by one relation product, which the up-set count
 test replaced for total preorders. The closure by repeated squaring, which
 the depth-first pass replaced, is the reference of ``test_closure.py``.
+The order enumeration by a Python test of each edge subset, which one
+stacked transitivity test replaced, pins the order of
+``enumerate_preorders``, ``strict_orders`` and ``_closed_orders`` in
+``test_closed_orders.py``.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 import numpy as np
 
 from beliefrev import Formula, PreferenceModel, Signature, World
-from beliefrev.errors import ModelInvariantError
+from beliefrev.errors import ModelInvariantError, ResourceBoundError
 from beliefrev.semantics import _compose
 
 
@@ -162,3 +169,16 @@ def transitive_closure(matrix: np.ndarray) -> np.ndarray:
         if np.array_equal(step, closed):
             return closed
         closed = step
+
+
+def preorder_edges(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+    """Every set of off-diagonal index pairs on ``n`` elements whose
+    reflexive closure is transitive, by brute force over the 2^(n(n-1))
+    subsets in a fixed order; past n = 4 (4,096 subsets) it raises first."""
+    if n > 4:
+        raise ResourceBoundError(f"{n} elements exceed the order enumeration limit of 4")
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for picks in itertools.product((False, True), repeat=len(cells)):
+        chosen = frozenset(c for c, on in zip(cells, picks) if on)
+        if all(a == d or (a, d) in chosen for a, b in chosen for c, d in chosen if b == c):
+            yield chosen

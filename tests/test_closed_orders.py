@@ -1,11 +1,13 @@
 """Graphs built from orders already closed.
 
-``enumerate_pgraphs`` shares the matrices of ``_closed_orders``, ``prefix``
-writes the prefixed order and ``graph_from_preorder`` an antichain, each
-closed by construction; none of them runs a closure or proves its matrix
-again. These tests pin those orders at their source, compare each path
-with construction from edges and with Warshall's closure, and pin the
-work the paths removed.
+``enumerate_pgraphs`` shares the matrices of ``_closed_orders``, tested
+closed in one stacked call per size, ``prefix`` writes the prefixed order
+and ``graph_from_preorder`` an antichain, each closed by construction; no
+graph runs a closure or proves its matrix again. These tests pin those
+orders at their source, and the enumeration's order against the subset
+loop of ``reference_orders`` that it replaced, compare each path with
+construction from edges and with Warshall's closure, and pin the work the
+paths removed.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ import beliefrev.formula
 import beliefrev.pgraph
 import beliefrev.transforms
 from beliefrev import PGraph, graph_from_preorder, prefix, sweep_harmony
+from beliefrev.errors import ResourceBoundError
 from beliefrev.files import parse_graph_file
 from beliefrev.formula import _MEMO_SIZE
 from beliefrev.pgraph import (
@@ -28,7 +31,7 @@ from beliefrev.pgraph import (
     induce_model,
     strict_orders,
 )
-from beliefrev.semantics import PreferenceModel
+from beliefrev.semantics import PreferenceModel, enumerate_preorders
 from helpers import (
     SIG_PQ,
     canonical_pq,
@@ -40,6 +43,7 @@ from helpers import (
     preorder_models_on_trio,
     random_pgraph,
 )
+from reference_orders import preorder_edges
 
 
 def test_the_enumerated_orders_are_the_strict_orders_closed_as_written():
@@ -51,6 +55,34 @@ def test_the_enumerated_orders_are_the_strict_orders_closed_as_written():
             assert not matrix.flags.writeable and not matrix.diagonal().any()
             pairs = [(int(a[1:]), int(b[1:])) for a, b in edges]
             assert np.array_equal(matrix, oracle_closure(k, pairs))
+
+
+def test_the_order_enumerations_keep_the_order_of_the_subset_loop():
+    def matrix(n, pairs, diagonal):
+        mat = np.eye(n, dtype=bool) if diagonal else np.zeros((n, n), dtype=bool)
+        for a, b in pairs:
+            mat[a, b] = True
+        return mat
+
+    for n in range(5):
+        edges = list(preorder_edges(n))
+        preorders = list(enumerate_preorders(n))
+        assert len(preorders) == len(edges)
+        for mat, pairs in zip(preorders, edges):
+            assert mat.dtype == bool and mat.flags.writeable and mat.flags.c_contiguous
+            assert np.array_equal(mat, matrix(n, pairs, True))
+        strict = [e for e in edges if not any((b, a) in e for a, b in e)]
+        assert list(strict_orders(n)) == strict
+        assert all(type(i) is int for e in strict_orders(n) for pair in e for i in pair)
+        orders = _closed_orders(n)
+        named = [frozenset((f"n{a}", f"n{b}") for a, b in e) for e in strict]
+        assert [e for e, _ in orders] == named
+        for (_, mat), pairs in zip(orders, strict):
+            assert not mat.flags.writeable and np.array_equal(mat, matrix(n, pairs, False))
+    for enumeration in (preorder_edges, enumerate_preorders, strict_orders, _closed_orders):
+        with pytest.raises(ResourceBoundError) as caught:
+            list(enumeration(5))
+        assert str(caught.value) == "5 elements exceed the order enumeration limit of 4"
 
 
 def test_every_enumerated_graph_is_the_graph_its_edges_build():
@@ -98,6 +130,10 @@ def test_no_graph_construction_runs_the_transitivity_product(monkeypatch):
     chain = "\n".join(
         ["atoms: p", *(f"node n{i}: p" for i in range(n)), *(f"n{i} < n{i + 1}" for i in range(n - 1))]
     )
+    # The enumeration tests each size's orders closed in one stacked
+    # product, once; the graphs that share them pay none.
+    for k in range(5):
+        _closed_orders(k)
     monkeypatch.setattr("beliefrev.semantics._compose", no_product)
     _, g = parse_graph_file(chain)
     assert np.array_equal(g.matrix, np.triu(np.ones((n, n), dtype=bool), 1))

@@ -72,6 +72,16 @@ def test_valuation_copies_go_through_the_checked_constructor():
         rebuild(Valuation, SIG_PQ, (True,))
 
 
+def test_valuation_bits_given_as_a_list_are_kept_as_a_tuple():
+    listed = Valuation(SIG_PQ, [True, False])
+    assert type(listed.bits) is tuple and listed.bits == (True, False)
+    assert listed == val(1, 0) and hash(listed) == hash(val(1, 0)) and len({listed, val(1, 0)}) == 1
+    back = pickle.loads(pickle.dumps(listed))
+    assert back == listed and type(back.bits) is tuple
+    replaced = listed._replace(bits=[False, True])
+    assert replaced == val(0, 1) and type(replaced.bits) is tuple
+
+
 def test_valuation_equals_its_plain_tuple():
     # the documented price of a tuple-backed record
     v = val(1, 1)

@@ -572,11 +572,11 @@ def test_canonical_model_guards_against_large_signatures():
 
 
 def test_round_trip_with_tied_duplicate_valuations():
-    v = Valuation(SIG_PQ, (False, True))
+    # Bits given as a list make the same valuation as a tuple.
     worlds = (
-        World("a", v),
-        World("b", v),
-        World("c", Valuation(SIG_PQ, (True, True))),
+        World("a", Valuation(SIG_PQ, (False, True))),
+        World("b", Valuation(SIG_PQ, [False, True])),
+        World("c", Valuation(SIG_PQ, [True, True])),
     )
     m = PreferenceModel.from_edges(worlds, [("a", "b"), ("b", "a"), ("c", "a")])
     g = graph_from_preorder(m)

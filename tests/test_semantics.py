@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beliefrev import (
     PreferenceModel,
@@ -15,6 +18,7 @@ from beliefrev.errors import ModelInvariantError, ResourceBoundError
 from beliefrev.files import parse_model_file
 from beliefrev.formula import BOT, TOP
 from beliefrev.semantics import (
+    _implied,
     enumerate_preorders,
     min_worlds,
     null_change,
@@ -27,6 +31,7 @@ from helpers import (
     chain_fixture,
     chain_model,
     f,
+    oracle_implied,
     oracle_lex_pairs,
     oracle_min_ids,
     oracle_natural_pairs,
@@ -245,6 +250,23 @@ def test_enumerate_preorders_refuses_more_than_four_elements():
     assert sum(1 for _ in enumerate_preorders(4)) == 355
     with pytest.raises(ResourceBoundError, match="5 elements exceed the order enumeration limit of 4"):
         next(enumerate_preorders(5))
+
+
+@st.composite
+def relation_stacks(draw):
+    n, size = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    rel = draw(arrays(bool, (size, n, n)))
+    return rel | np.eye(n, dtype=bool) if draw(st.booleans()) else rel
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_stacks())
+def test_implied_pairs_match_a_triple_loop_on_stacks(rel):
+    implied = _implied(rel)
+    assert implied.shape == rel.shape and implied.dtype == bool
+    assert np.array_equal(implied, oracle_implied(rel))
+    for one, row in zip(rel, implied):
+        assert np.array_equal(_implied(one), row)
 
 
 def test_worlds_can_share_valuations():
